@@ -13,8 +13,7 @@
 // single bucket shift already reads as a 2x change, so CI smoke gates
 // compare throughput only. `lines_per_op` series STAY gated under
 // --rates-only: lines flushed per op is a deterministic count ratio, not a
-// bucketed tail, and it is the axis the coalescing write-back buffers
-// (DESIGN.md §13) must never regress.
+// bucketed tail, so a change there is a real change in write-back cost.
 // Verdicts:
 //   OK        within the noise threshold
 //   IMPROVED  moved beyond the threshold in the good direction

@@ -34,8 +34,6 @@ void queue_point(const Config& cfg) {
   };
 
   EpochSys::Options montage_opts;
-  EpochSys::Options nocoalesce_opts;
-  nocoalesce_opts.coalesce = false;
   EpochSys::Options transient_opts;
   transient_opts.transient = true;
   transient_opts.start_advancer = false;
@@ -52,9 +50,6 @@ void queue_point(const Config& cfg) {
   run("Montage", [](BenchEnv& e) {
     return std::make_unique<MontageQueueAdapter<Val>>(e);
   }, &montage_opts);
-  run("Montage(no-coalesce)", [](BenchEnv& e) {
-    return std::make_unique<MontageQueueAdapter<Val>>(e);
-  }, &nocoalesce_opts);
   run("Friedman", [](BenchEnv& e) {
     return std::make_unique<FriedmanQueueAdapter<Val>>(e);
   }, nullptr);
@@ -98,8 +93,6 @@ void map_point(const Config& cfg) {
   };
 
   EpochSys::Options montage_opts;
-  EpochSys::Options nocoalesce_opts;
-  nocoalesce_opts.coalesce = false;
   EpochSys::Options transient_opts;
   transient_opts.transient = true;
   transient_opts.start_advancer = false;
@@ -116,9 +109,6 @@ void map_point(const Config& cfg) {
   run("Montage", [&](BenchEnv& e) {
     return std::make_unique<MontageMapAdapter<Val>>(e, buckets);
   }, &montage_opts);
-  run("Montage(no-coalesce)", [&](BenchEnv& e) {
-    return std::make_unique<MontageMapAdapter<Val>>(e, buckets);
-  }, &nocoalesce_opts);
   run("SOFT", [&](BenchEnv& e) {
     return std::make_unique<SoftMapAdapter<Val>>(e, buckets);
   }, nullptr);

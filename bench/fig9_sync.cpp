@@ -82,8 +82,6 @@ void run_series(const Config& cfg, const std::string& name,
 void main_impl() {
   const Config cfg = Config::from_env();
   EpochSys::Options cb;  // defaults: 64-entry buffers
-  EpochSys::Options nc;  // coalescing disabled: the A/B for lines_per_op
-  nc.coalesce = false;
   EpochSys::Options dw;
   dw.write_back = WriteBack::kPerOp;
   EpochSys::Options transient_opts;
@@ -93,7 +91,6 @@ void main_impl() {
   run_series<TransientMapAdapter<Val, ds::NvmMem>>(cfg, "NVM(T)", nullptr);
   run_series<MontageMapAdapter<Val>>(cfg, "Montage(T)", &transient_opts);
   run_series<MontageMapAdapter<Val>>(cfg, "Montage(cb)", &cb);
-  run_series<MontageMapAdapter<Val>>(cfg, "Montage(cb-nocoalesce)", &nc);
   run_series<MontageMapAdapter<Val>>(cfg, "Montage(cb-kill)", &cb,
                                      /*kill_advancer=*/true);
   run_series<MontageMapAdapter<Val>>(cfg, "Montage(dw)", &dw);

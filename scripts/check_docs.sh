@@ -114,6 +114,28 @@ done < <(awk '/constexpr Meta (kCounterMeta|kHistMeta)\[/ { in_cat = 1; next }
               in_cat && match($0, /\{"[^"]+"/) {
                 print substr($0, RSTART + 2, RLENGTH - 3)
               }' src/util/telemetry.cpp)
+# And the reverse: every metric row of the §9 tables must name a metric
+# telemetry.cpp still registers, so a deleted counter cannot leave a stale
+# row behind.
+registered=$(awk '/constexpr Meta (kCounterMeta|kHistMeta)\[/ { in_cat = 1; next }
+                  in_cat && /^};/ { in_cat = 0 }
+                  in_cat && match($0, /\{"[^"]+"/) {
+                    print substr($0, RSTART + 2, RLENGTH - 3)
+                  }' src/util/telemetry.cpp)
+while IFS= read -r m; do
+  if ! grep -qxF "$m" <<< "$registered"; then
+    echo "check_docs: DESIGN.md documents unregistered metric $m"
+    metric_fail=1
+  fi
+done < <(awk '/^### Metric catalog/ { in_cat = 1; next }
+              in_cat && /^### / { in_cat = 0 }
+              in_cat && /^\| `/ {
+                row = $0; sub(/^\| /, "", row); sub(/ \|.*$/, "", row)
+                n = split(row, names, " / ")
+                for (i = 1; i <= n; i++) {
+                  gsub(/`/, "", names[i]); print names[i]
+                }
+              }' DESIGN.md)
 if [[ $metric_fail -eq 0 ]]; then
   echo "check_docs: metric catalog documented OK"
 else

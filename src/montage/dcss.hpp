@@ -13,10 +13,15 @@
 // Descriptors are per-thread and reused; a use is identified by an even
 // sequence number, and the decision word carries that sequence so a slow
 // helper can never decide or complete a *later* use of the same descriptor.
+// The word itself holds only the descriptor's address, which every use
+// shares, so a helper's final CAS could also land on a later use; helpers
+// therefore announce themselves, and the owner starts no new use while one
+// that may have seen the finished use is still running.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <thread>
 #include <type_traits>
 
 #include "montage/epoch_sys.hpp"
@@ -32,6 +37,7 @@ enum : uint64_t { kUndecided = 0, kSucceeded = 1, kFailed = 2 };
 struct alignas(util::kCacheLineSize) Descriptor {
   std::atomic<uint64_t> seq{0};      ///< odd while the owner (re)fills fields
   std::atomic<uint64_t> decision{0};  ///< (use_seq << 2) | outcome
+  std::atomic<uint32_t> helpers{0};   ///< threads inside help() on this
   uint64_t expected_epoch = 0;
   uint64_t old_val = 0;
   uint64_t new_val = 0;
@@ -130,6 +136,13 @@ class AtomicVerifiable {
       telemetry::count(telemetry::Ctr::kCasVerifyRetries);
     }
     complete(&d, use);
+    // The word no longer holds this use's mark. A helper that read the mark
+    // before that may still be about to CAS it; wait it out (a few atomic
+    // steps unless it is descheduled), or its CAS could undo the next use
+    // of this descriptor.
+    while (d.helpers.load(std::memory_order_seq_cst) != 0) {
+      std::this_thread::yield();
+    }
     const uint64_t dec = d.decision.load(std::memory_order_acquire);
     // Only this thread advances the descriptor to its next use, so the
     // decision still belongs to `use` here.
@@ -182,13 +195,19 @@ class AtomicVerifiable {
     uint64_t expect = mark(d);
     word_.compare_exchange_strong(
         expect, (dec & 3) == kSucceeded ? new_v : old_v,
-        std::memory_order_acq_rel);
+        std::memory_order_seq_cst);
   }
 
   void help(uint64_t w) const {
     using namespace dcss_detail;
     Descriptor* d = unmark(w);
-    complete(d, d->seq.load(std::memory_order_acquire));
+    d->helpers.fetch_add(1, std::memory_order_seq_cst);
+    // Still the mark after announcing: the owner has not yet finished the
+    // use it belongs to, so it will wait for this helper before reusing d.
+    if (word_.load(std::memory_order_seq_cst) == w) {
+      complete(d, d->seq.load(std::memory_order_acquire));
+    }
+    d->helpers.fetch_sub(1, std::memory_order_seq_cst);
   }
 
   mutable std::atomic<uint64_t> word_;

@@ -9,7 +9,6 @@
 
 #include "nvm/region.hpp"
 #include "util/env.hpp"
-#include "util/pin.hpp"
 #include "util/telemetry.hpp"
 #include "util/timing.hpp"
 
@@ -44,19 +43,29 @@ thread_local EpochSys* tls_esys = nullptr;
 // the pacer from epoch.cooperative_advances driven by workers and sync().
 thread_local bool tls_is_advancer = false;
 std::atomic<EpochSys*> g_default_esys{nullptr};
-}  // namespace
 
-namespace {
-// Resolve the shard count (DESIGN.md §15): env override beats the Options
-// request beats the machine topology; always clamped to [1, max_threads].
-int resolve_epoch_shards(const EpochSys::Options& opts) {
-  int s = util::epoch_shards_override();
-  if (s == 0) {
-    s = opts.epoch_shards > 0 ? opts.epoch_shards : util::topology_shards();
+// Run one write-back or fence, retrying transient device errors (full write
+// queue, injected EIO) with exponential backoff. Anything else — notably an
+// armed CrashPointException — propagates untouched.
+template <typename Io>
+void retry_transient(const EpochSys::Options& opts, Io&& io) {
+  uint64_t backoff = std::max<uint64_t>(opts.wb_backoff_ns, 1);
+  for (uint64_t attempt = 1;; ++attempt) {
+    try {
+      io();
+      return;
+    } catch (const nvm::IoError&) {
+      if (attempt > opts.wb_max_retries) {
+        telemetry::count(telemetry::Ctr::kPersistErrors);
+        telemetry::trace(telemetry::Ev::kPersistError, attempt);
+        throw PersistError(attempt);
+      }
+      telemetry::count(telemetry::Ctr::kEioRetries);
+      telemetry::trace(telemetry::Ev::kEioRetry, attempt);
+      util::spin_for_ns(backoff);
+      backoff = std::min(backoff * 2, kMaxBackoffNs);
+    }
   }
-  if (s < 1) s = 1;
-  if (s > opts.max_threads) s = opts.max_threads;
-  return s;
 }
 }  // namespace
 
@@ -65,11 +74,8 @@ EpochSys::EpochSys(ralloc::Ralloc* ral, const Options& opts, bool recover)
       opts_(opts),
       clock_(&ral->region()->root(kClockRoot)),
       tds_(std::make_unique<ThreadData[]>(opts.max_threads)),
-      nshards_(resolve_epoch_shards(opts)),
-      mind_(opts.max_threads, nshards_),
+      mind_(opts.max_threads),
       uid_root_(&ral->region()->root(kUidRoot)) {
-  opts_.epoch_shards = nshards_;  // options() reports the resolved count
-  shard_tickets_ = std::make_unique<ShardTicket[]>(nshards_);
   nvm::Region* region = ral_->region();
   if (recover) {
     crash_epoch_ = clock_->load(std::memory_order_relaxed);
@@ -106,12 +112,6 @@ EpochSys::EpochSys(ralloc::Ralloc* ral, const Options& opts, bool recover)
       ms != 0) {
     opts_.watchdog_ns = ms * 1'000'000;
   }
-  // Kill switch for the coalescing write-back buffers (DESIGN.md §13):
-  // MONTAGE_WB_COALESCE=0 restores one flush per payload, for A/B
-  // measurement of the lines-flushed win and for bisecting suspected
-  // coalescing bugs.
-  opts_.coalesce = util::env_u64_checked("MONTAGE_WB_COALESCE",
-                                         opts_.coalesce ? 1 : 0) != 0;
   watchdog_ns_ = opts_.watchdog_ns != 0
                      ? opts_.watchdog_ns
                      : std::max<uint64_t>(10 * opts_.epoch_length_ns,
@@ -141,8 +141,8 @@ void EpochSys::set_default_esys(EpochSys* esys) {
 }
 
 void EpochSys::stop_advancer() {
-  // Serialized against start/restart: a stop that races a watchdog restart
-  // either joins the fresh thread or prevents it from starting at all, and
+  // Serialized against start: a stop that races a start either joins the
+  // fresh thread or prevents it from starting at all, and
   // double stops (destructor after an explicit stop, stop before any start)
   // find nothing joinable and return.
   std::unique_lock lk(advancer_mutex_, std::try_to_lock);
@@ -203,8 +203,7 @@ void EpochSys::advancer_loop() {
       // A persist failure (or an injected crash point) reached the
       // advancer. Dying silently is exactly what a real advancer thread
       // would do; workers notice the stale clock and keep ticking it
-      // cooperatively (the watchdog restarts us only if
-      // Options::watchdog_restart opted in).
+      // cooperatively.
       break;
     }
   }
@@ -261,12 +260,6 @@ uint64_t EpochSys::begin_op() {
     std::lock_guard lk(td.m);
     td.op_new_blocks.clear();
     if (mind_.parked(tid)) mind_.unpark(tid);
-    // Fold the previous op's staged registrations into the rings so every
-    // fast-path entry is ring-visible before this op starts, and reset the
-    // staging dedup hint — it must never suppress a registration of the
-    // same payload under this op's (different) epoch.
-    flush_staging(td);
-    td.stage_last_blk = nullptr;
   }
 
   // Help any waiting sync(): write back our own stale buffers early.
@@ -361,13 +354,7 @@ void EpochSys::end_op() {
     try {
       if (opts_.write_back == WriteBack::kPerOp && !td.per_op_writes.empty()) {
         telemetry::count(telemetry::Ctr::kWbDirect, td.per_op_writes.size());
-        if (opts_.coalesce) {
-          // One flush per distinct dirty line for the whole op's batch.
-          persist_blocks_coalesced(td.per_op_writes.data(),
-                                   td.per_op_writes.size(), nullptr);
-        } else {
-          for (PBlk* p : td.per_op_writes) persist_block(p);
-        }
+        for (PBlk* p : td.per_op_writes) persist_block(p);
         fence_retry();
       } else if (opts_.write_back == WriteBack::kImmediate && td.wrote) {
         fence_retry();
@@ -439,12 +426,6 @@ void EpochSys::abort_op() noexcept {
         tls_esys = nullptr;
         return;
       }
-      // Staged fast-path registrations must be ring-visible before the
-      // present-checks below, or a dead-marked block could enter the ring
-      // twice. flush_staging never evicts (it may push past the capacity
-      // bound, like the loop below), so no persistence event is issued and
-      // the noexcept contract holds.
-      flush_staging(td);
       // Cancel the pdelete / ensure_writable requests this operation queued:
       // their victims stay live in the structure. The size guard tolerates a
       // list that was swapped out from under the mark (cannot happen while
@@ -463,20 +444,14 @@ void EpochSys::abort_op() noexcept {
       // crash before that boundary has cutoff < e, which discards epoch-e
       // blocks anyway.
       auto& ring = td.to_persist[e % 4];
-      auto& members = td.ring_members[e % 4];
       for (PBlk* p : td.op_new_blocks) {
         p->magic_ = kPBlkDead;
-        const bool present = opts_.coalesce
-                                 ? members.contains(p)
-                                 : std::find(ring.begin(), ring.end(), p) !=
-                                       ring.end();
-        if (!present) {
+        if (std::find(ring.begin(), ring.end(), p) == ring.end()) {
           // Re-enter the write-back ring, past its capacity bound if need
           // be: bounded overflow would write back (an event that could
           // throw), and the excess drains at the next epoch boundary.
           if (ring.empty()) td.ring_epoch[e % 4] = e;
           ring.push_back(p);
-          if (opts_.coalesce) members.insert(p);
         }
         // Queue for the normal two-epoch-deferred reclamation, which
         // persists the dead header before the memory is reused.
@@ -581,50 +556,6 @@ void EpochSys::register_write(PBlk* p) {
   if (opts_.transient) return;
   ThreadData& td = my_td();
   assert(td.in_op);
-  // Lock-free SPSC fast path (DESIGN.md §15), sharded configurations only
-  // (MONTAGE_EPOCH_SHARDS=1 kills it along with the rest of the shard
-  // machinery): the owner is the sole producer of its staging ring, so a
-  // buffered registration is a plain store + release of stage_head — no
-  // td.m. Consumers (drains, adoption) fold staged entries into the rings
-  // under td.m before reading any ring state, so nothing here can be
-  // skipped by a boundary. Adopted/sealed/full cases fall through to the
-  // classic mutex path.
-  if (nshards_ > 1 && opts_.write_back == WriteBack::kBuffered &&
-      !td.adopted.load(std::memory_order_acquire)) {
-    const uint64_t e = td.op_epoch;
-    if (e >= td.stage_seal.load(std::memory_order_acquire)) {
-      const uint64_t tail = td.stage_tail.load(std::memory_order_acquire);
-      if (td.stage_last_blk == p && td.stage_last_idx >= tail) {
-        // Back-to-back re-registration of the hottest payload while its
-        // entry is still staged: the flush-time ring_push would dedup it
-        // anyway; skip the store entirely.
-        telemetry::count(telemetry::Ctr::kEpochRegLockfreeHits);
-        if (opts_.coalesce) telemetry::count(telemetry::Ctr::kWbDedupHits);
-        return;
-      }
-      const uint64_t head = td.stage_head.load(std::memory_order_relaxed);
-      if (head - tail < ThreadData::kStageCap) {
-        td.stage[head % ThreadData::kStageCap] = {p, e};
-        td.stage_head.store(head + 1, std::memory_order_release);
-        // Seal re-check: a consumer that sealed this epoch between our
-        // first check and the publish may have scanned before the entry
-        // became visible. Re-register through the mutex path — the staged
-        // duplicate is harmless (ring_push dedups; a drain that does see
-        // it rewrites already-sealed bytes).
-        if (e >= td.stage_seal.load(std::memory_order_acquire)) {
-          td.stage_last_blk = p;
-          td.stage_last_idx = head;
-          // Keep the mindicator hint fresh without the lock: the owner is
-          // the only writer of its leaf outside adoption, and set() itself
-          // handles a racing park.
-          const int tid = util::thread_id();
-          if (mind_.get(tid) > e) mind_.set(tid, e);
-          telemetry::count(telemetry::Ctr::kEpochRegLockfreeHits);
-          return;
-        }
-      }
-    }
-  }
   std::lock_guard lk(td.m);
   if (td.adopted.load(std::memory_order_acquire)) {
     throw OrphanedOperationException{};
@@ -644,16 +575,7 @@ void EpochSys::register_write_locked(ThreadData& td, PBlk* p) {
       td.wrote = true;
       break;
     case WriteBack::kPerOp:
-      if (opts_.coalesce) {
-        // Full-batch dedup: the op's staging list stays small (it flushes
-        // at END_OP), so a linear scan beats a side set here.
-        if (std::find(td.per_op_writes.begin(), td.per_op_writes.end(), p) ==
-            td.per_op_writes.end()) {
-          td.per_op_writes.push_back(p);
-        } else {
-          telemetry::count(telemetry::Ctr::kWbDedupHits);
-        }
-      } else if (td.per_op_writes.empty() || td.per_op_writes.back() != p) {
+      if (td.per_op_writes.empty() || td.per_op_writes.back() != p) {
         td.per_op_writes.push_back(p);
       }
       break;
@@ -724,425 +646,44 @@ void EpochSys::persist_block(PBlk* p) {
   // Seal the header immediately before write-back: recovery recomputes this
   // checksum and quarantines any header that reached NVM some other way
   // (torn across a line boundary, or evicted before it was ever sealed).
-  if (opts_.coalesce) {
-    // Route even single-payload write-backs (kImmediate, ring overflow)
-    // through the line-granularity path so the crash-schedule engine counts
-    // one persistence event per line everywhere.
-    PBlk* one = p;
-    persist_blocks_coalesced(&one, 1, nullptr);
-    return;
-  }
   p->blk_seal();
   persist_retry(p, p->size_);
 }
 
-std::size_t EpochSys::persist_blocks_coalesced(
-    PBlk* const* blocks, std::size_t n, std::vector<uint64_t>* filter,
-    std::vector<uint64_t>* slot_filter) {
-  if (n == 0) return 0;
-  nvm::Region* region = ral_->region();
-  // Seal BEFORE gathering any line: a cache line shared by two payloads is
-  // flushed once for both, so every header covering a gathered line must
-  // already carry its checksum when the flush is issued. (blk_seal is
-  // idempotent — re-sealing an already-sealed header is a no-op.)
-  std::vector<uint64_t> lines;
-  for (std::size_t i = 0; i < n; ++i) {
-    PBlk* p = blocks[i];
-    p->blk_seal();
-    const uint64_t first = region->line_index(p);
-    const uint64_t last = region->line_index(
-        reinterpret_cast<const char*>(p) + p->size_ - 1);
-    for (uint64_t l = first; l <= last; ++l) lines.push_back(l);
-  }
-  const std::size_t refs = lines.size();
-  std::sort(lines.begin(), lines.end());
-  lines.erase(std::unique(lines.begin(), lines.end()), lines.end());
-  // Drop lines either filter already covers (both sorted): `filter` is the
-  // advancing thread's per-boundary view, `slot_filter` the ring owner's
-  // per-slot view extended across sync vacuum rounds.
-  for (std::vector<uint64_t>* f : {filter, slot_filter}) {
-    if (f == nullptr || f->empty() || lines.empty()) continue;
-    std::vector<uint64_t> fresh;
-    fresh.reserve(lines.size());
-    std::set_difference(lines.begin(), lines.end(), f->begin(), f->end(),
-                        std::back_inserter(fresh));
-    lines.swap(fresh);
-  }
-  persist_lines_retry(lines.data(), lines.size());
-  for (std::vector<uint64_t>* f : {filter, slot_filter}) {
-    if (f == nullptr || lines.empty()) continue;
-    // Only lines that actually flushed enter the filters — a batch that
-    // threw above left them untouched, so its retry re-flushes everything.
-    std::vector<uint64_t> merged;
-    merged.reserve(f->size() + lines.size());
-    std::merge(f->begin(), f->end(), lines.begin(), lines.end(),
-               std::back_inserter(merged));
-    f->swap(merged);
-  }
-  telemetry::count(telemetry::Ctr::kWbCoalesced, refs - lines.size());
-  return lines.size();
-}
-
-void EpochSys::persist_lines_retry(const uint64_t* lines, std::size_t n) {
-  if (n == 0) return;
-  uint64_t backoff = std::max<uint64_t>(opts_.wb_backoff_ns, 1);
-  for (uint64_t attempt = 1;; ++attempt) {
-    try {
-      // A retry reissues the WHOLE batch: lines that made it into the
-      // write-pending queue before the fault are re-appended, which is
-      // harmless (the next fence commits each pending entry once per
-      // appearance).
-      ral_->region()->persist_lines(lines, n);
-      return;
-    } catch (const nvm::IoError&) {
-      if (attempt > opts_.wb_max_retries) {
-        telemetry::count(telemetry::Ctr::kPersistErrors);
-        telemetry::trace(telemetry::Ev::kPersistError, attempt);
-        throw PersistError(attempt);
-      }
-      telemetry::count(telemetry::Ctr::kEioRetries);
-      telemetry::trace(telemetry::Ev::kEioRetry, attempt);
-      util::spin_for_ns(backoff);
-      backoff = std::min(backoff * 2, kMaxBackoffNs);
-    }
-  }
-}
-
 void EpochSys::persist_retry(const void* addr, std::size_t len) {
-  uint64_t backoff = std::max<uint64_t>(opts_.wb_backoff_ns, 1);
-  for (uint64_t attempt = 1;; ++attempt) {
-    try {
-      ral_->region()->persist(addr, len);
-      return;
-    } catch (const nvm::IoError&) {
-      // Transient device error (full write queue, injected EIO): back off
-      // exponentially and reissue. Anything else — notably an armed
-      // CrashPointException — propagates untouched.
-      if (attempt > opts_.wb_max_retries) {
-        telemetry::count(telemetry::Ctr::kPersistErrors);
-        telemetry::trace(telemetry::Ev::kPersistError, attempt);
-        throw PersistError(attempt);
-      }
-      telemetry::count(telemetry::Ctr::kEioRetries);
-      telemetry::trace(telemetry::Ev::kEioRetry, attempt);
-      util::spin_for_ns(backoff);
-      backoff = std::min(backoff * 2, kMaxBackoffNs);
-    }
-  }
+  retry_transient(opts_, [&] { ral_->region()->persist(addr, len); });
 }
 
 void EpochSys::fence_retry() {
-  uint64_t backoff = std::max<uint64_t>(opts_.wb_backoff_ns, 1);
-  for (uint64_t attempt = 1;; ++attempt) {
-    try {
-      ral_->region()->fence();
-      return;
-    } catch (const nvm::IoError&) {
-      if (attempt > opts_.wb_max_retries) {
-        telemetry::count(telemetry::Ctr::kPersistErrors);
-        telemetry::trace(telemetry::Ev::kPersistError, attempt);
-        throw PersistError(attempt);
-      }
-      telemetry::count(telemetry::Ctr::kEioRetries);
-      telemetry::trace(telemetry::Ev::kEioRetry, attempt);
-      util::spin_for_ns(backoff);
-      backoff = std::min(backoff * 2, kMaxBackoffNs);
-    }
-  }
-}
-
-void EpochSys::slot_filter_dirty(ThreadData& td, uint64_t e, const PBlk* p) {
-  if (!opts_.coalesce) return;
-  auto& filt = td.slot_filter_lines[e % 4];
-  if (td.slot_filter_epoch[e % 4] != e || filt.empty()) return;
-  nvm::Region* region = ral_->region();
-  const uint64_t first = region->line_index(p);
-  const uint64_t last =
-      region->line_index(reinterpret_cast<const char*>(p) + p->size_ - 1);
-  for (uint64_t l = first; l <= last; ++l) {
-    const auto it = std::lower_bound(filt.begin(), filt.end(), l);
-    if (it != filt.end() && *it == l) filt.erase(it);
-  }
+  retry_transient(opts_, [&] { ral_->region()->fence(); });
 }
 
 void EpochSys::ring_push(ThreadData& td, uint64_t e, PBlk* p) {
   auto& ring = td.to_persist[e % 4];
-  if (opts_.coalesce) {
-    // Restamp the slot's line filter whenever the slot is reused for a new
-    // epoch, so every consult/merge below sees a filter that belongs to e.
-    if (td.slot_filter_epoch[e % 4] != e) {
-      td.slot_filter_lines[e % 4].clear();
-      td.slot_filter_epoch[e % 4] = e;
-    }
-    // Registration dedup: the set view makes "already buffered this epoch"
-    // O(1) for ANY prior position, not just the hottest (back) entry — a
-    // payload written twice with other writes in between still costs one
-    // buffered entry and one eventual line flush. The payload's bytes just
-    // changed either way, so any record of its lines as already flushed is
-    // stale — without this, an in-place re-modification of a ringed payload
-    // whose line a vacuum round already flushed would never be rewritten.
-    if (td.ring_members[e % 4].contains(p)) {
-      slot_filter_dirty(td, e, p);
-      telemetry::count(telemetry::Ctr::kWbDedupHits);
-      return;
-    }
-  } else if (!ring.empty() && ring.back() == p) {
-    return;  // hot payload, in place
-  }
+  if (!ring.empty() && ring.back() == p) return;  // hot payload, in place
   if (ring.empty()) td.ring_epoch[e % 4] = e;
   if (opts_.buffer_capacity != 0 && ring.size() >= opts_.buffer_capacity) {
     // Incremental write-back of the oldest entry (paper §5.2: essential so
     // the background thread never faces unbounded buffers).
     telemetry::count(telemetry::Ctr::kWbOverflow);
-    if (opts_.coalesce) {
-      // Route the eviction through the slot filter: a line it flushes is
-      // skipped by later drains of this slot unless re-dirtied, and a line
-      // a vacuum round already flushed (still clean) is not flushed again.
-      // Every ring-mate sharing a line with the victim must carry its
-      // checksum before that line is captured-and-filtered (the boundary's
-      // phase-A seal invariant): a skipped rewrite would otherwise leave an
-      // unsealed header on NVM for recovery to quarantine.
-      PBlk* victim = ring.front();
-      nvm::Region* region = ral_->region();
-      const uint64_t vf = region->line_index(victim);
-      const uint64_t vl = region->line_index(
-          reinterpret_cast<const char*>(victim) + victim->size_ - 1);
-      for (PBlk* q : ring) {
-        const uint64_t qf = region->line_index(q);
-        const uint64_t ql = region->line_index(
-            reinterpret_cast<const char*>(q) + q->size_ - 1);
-        if (qf <= vl && vf <= ql) q->blk_seal();
-      }
-      persist_blocks_coalesced(&victim, 1, nullptr,
-                               &td.slot_filter_lines[e % 4]);
-      td.ring_members[e % 4].erase(victim);
-    } else {
-      persist_block(ring.front());
-    }
+    persist_block(ring.front());
     ring.pop_front();
   }
   ring.push_back(p);
-  if (opts_.coalesce) {
-    td.ring_members[e % 4].insert(p);
-    // Invalidate AFTER any eviction above merged its lines: `p` itself may
-    // share a line with the victim, and its header is not sealed yet — the
-    // next drain must rewrite that line once p's checksum is in place.
-    slot_filter_dirty(td, e, p);
-  }
   update_mindicator(td, static_cast<int>(&td - tds_.get()));
 }
 
-void EpochSys::flush_staging(ThreadData& td, uint64_t seal_below) {
-  if (seal_below != 0) {
-    // CAS-max: the seal never regresses. Sealing before the scan is the
-    // seal-then-scan consumer protocol — a producer that observes the new
-    // seal after its publish re-registers through the mutex path, so no
-    // staged entry for a sealed epoch can be missed by this scan's caller.
-    uint64_t s = td.stage_seal.load(std::memory_order_relaxed);
-    while (s < seal_below &&
-           !td.stage_seal.compare_exchange_weak(s, seal_below,
-                                                std::memory_order_acq_rel,
-                                                std::memory_order_relaxed)) {
-    }
-  }
-  const uint64_t head = td.stage_head.load(std::memory_order_acquire);
-  uint64_t tail = td.stage_tail.load(std::memory_order_relaxed);
-  if (tail == head) return;
-  bool pushed = false;
-  for (; tail != head; ++tail) {
-    const ThreadData::StageEntry ent =
-        td.stage[tail % ThreadData::kStageCap];
-    const uint64_t e = ent.epoch;
-    auto& ring = td.to_persist[e % 4];
-    if (opts_.coalesce) {
-      // Mirror ring_push's bookkeeping — restamp the slot filter for a
-      // reused slot, dedup through the member set, and re-dirty the
-      // payload's lines either way (its bytes changed at registration
-      // time, so any already-flushed record is stale).
-      if (td.slot_filter_epoch[e % 4] != e) {
-        td.slot_filter_lines[e % 4].clear();
-        td.slot_filter_epoch[e % 4] = e;
-      }
-      if (td.ring_members[e % 4].contains(ent.blk)) {
-        slot_filter_dirty(td, e, ent.blk);
-        telemetry::count(telemetry::Ctr::kWbDedupHits);
-        continue;
-      }
-    } else if (!ring.empty() && td.ring_epoch[e % 4] == e &&
-               ring.back() == ent.blk) {
-      continue;
-    }
-    // Deliberately NOT ring_push: pushing past the capacity bound avoids
-    // the overflow eviction's persistence event, which keeps this callable
-    // from the noexcept abort/adopt rollbacks. The excess (at most
-    // kStageCap entries) drains at the next boundary.
-    if (ring.empty()) td.ring_epoch[e % 4] = e;
-    ring.push_back(ent.blk);
-    if (opts_.coalesce) {
-      td.ring_members[e % 4].insert(ent.blk);
-      slot_filter_dirty(td, e, ent.blk);
-    }
-    pushed = true;
-  }
-  td.stage_tail.store(tail, std::memory_order_release);
-  if (pushed) update_mindicator(td, static_cast<int>(&td - tds_.get()));
-}
-
-std::size_t EpochSys::drain_ring(ThreadData& td, uint64_t e,
-                                 std::vector<uint64_t>* boundary_filter,
-                                 uint64_t seal_below) {
+std::size_t EpochSys::drain_ring(ThreadData& td, uint64_t e) {
   std::lock_guard lk(td.m);
-  flush_staging(td, seal_below);
   auto& ring = td.to_persist[e % 4];
   if (ring.empty() || td.ring_epoch[e % 4] != e) return 0;
+  // A throw (crash point, PersistError) leaves the ring intact, so the
+  // payloads stay queued and are retried at the next boundary.
+  for (PBlk* p : ring) persist_block(p);
   const std::size_t n = ring.size();
-  if (opts_.coalesce) {
-    // Coalesced drain: one flush per distinct dirty line across the whole
-    // ring, minus lines the boundary filter or the owner's per-slot filter
-    // (extended across sync vacuum rounds and overflow evictions) already
-    // covers. A throw — crash point, PersistError — leaves the ring intact,
-    // so the payloads stay queued and retry at the next boundary.
-    if (td.slot_filter_epoch[e % 4] != e) {
-      td.slot_filter_lines[e % 4].clear();
-      td.slot_filter_epoch[e % 4] = e;
-    }
-    std::vector<PBlk*> blocks(ring.begin(), ring.end());
-    persist_blocks_coalesced(blocks.data(), blocks.size(), boundary_filter,
-                             &td.slot_filter_lines[e % 4]);
-  } else {
-    for (PBlk* p : ring) persist_block(p);
-  }
   ring.clear();
-  td.ring_members[e % 4].clear();
   update_mindicator(td, static_cast<int>(&td - tds_.get()));
   return n;
-}
-
-namespace {
-// Consume one abandon token (test hook): true means the caller should walk
-// away from a shard claim it just won, simulating a claimant dying mid-drain.
-bool consume_abandon(std::atomic<int>& counter) {
-  int n = counter.load(std::memory_order_acquire);
-  while (n > 0) {
-    if (counter.compare_exchange_weak(n, n - 1, std::memory_order_acq_rel,
-                                      std::memory_order_acquire)) {
-      return true;
-    }
-  }
-  return false;
-}
-}  // namespace
-
-std::size_t EpochSys::drain_shard(int s, uint64_t ep,
-                                  std::vector<uint64_t>* filter) {
-  const int hwm = tid_hwm_.load(std::memory_order_acquire);
-  std::size_t drained = 0;
-  for (int t = 0; t < hwm; ++t) {
-    if (util::shard_of(t, nshards_) != s) continue;
-    drained += drain_ring(tds_[t], ep, filter, ep + 1);
-  }
-  telemetry::count(telemetry::Ctr::kEpochShardDrains);
-  // CAS-max: `done` never regresses. A stale claimant replaying a lost lap
-  // (or a PersistError retry racing a successful helper) must not roll the
-  // completion frontier back below a boundary that already finished.
-  ShardTicket& tk = shard_tickets_[s];
-  uint64_t cur = tk.done.load(std::memory_order_acquire);
-  while (cur < ep && !tk.done.compare_exchange_weak(
-                         cur, ep, std::memory_order_acq_rel,
-                         std::memory_order_acquire)) {
-  }
-  return drained;
-}
-
-std::size_t EpochSys::drain_boundary_sharded(ThreadData& me, uint64_t ep) {
-  const int my_tid = static_cast<int>(&me - tds_.get());
-  const int my_shard = util::shard_of(my_tid, nshards_);
-  std::vector<uint64_t>* filter =
-      opts_.coalesce ? &me.wb_filter_lines : nullptr;
-  // Publish the boundary epoch: from here until the clock CAS, shield
-  // spinners may claim and drain shards on our behalf. drain_epoch_ is only
-  // meaningful while ep + 1 == clock (help_drain_boundary re-checks).
-  drain_epoch_.store(ep, std::memory_order_release);
-  std::size_t drained = 0;
-  // Claim pass: own shard first (its rings are the ones this thread's cache
-  // already touched), then the rest ascending from ours so concurrent
-  // advancers starting at different shards fan out instead of colliding.
-  for (int k = 0; k < nshards_; ++k) {
-    const int s = (my_shard + k) % nshards_;
-    ShardTicket& tk = shard_tickets_[s];
-    uint64_t expect = tk.claim.load(std::memory_order_acquire);
-    if (expect >= ep) continue;  // already claimed for this (or a newer) tick
-    if (!tk.claim.compare_exchange_strong(expect, ep,
-                                          std::memory_order_acq_rel,
-                                          std::memory_order_acquire)) {
-      continue;  // raced with a helper or concurrent advancer
-    }
-    if (s != my_shard && consume_abandon(drain_abandon_claims_)) {
-      continue;  // test hook: win the claim, then die before draining
-    }
-    drained += drain_shard(s, ep, filter);
-  }
-  // Takeover pass: the boundary cannot fence+tick until every shard reports
-  // done >= ep. A claimant that stalled or died leaves done behind; after a
-  // bounded courtesy wait we re-drain the shard ourselves. drain_ring is
-  // idempotent under td.m (a drained ring is empty), so a duplicate drain
-  // wastes at most a scan.
-  for (int s = 0; s < nshards_; ++s) {
-    ShardTicket& tk = shard_tickets_[s];
-    if (tk.done.load(std::memory_order_acquire) >= ep) continue;
-    const uint64_t spin_end = util::now_ns() + kShieldSpinNs;
-    while (tk.done.load(std::memory_order_acquire) < ep &&
-           util::now_ns() < spin_end) {
-      std::this_thread::yield();
-    }
-    if (tk.done.load(std::memory_order_acquire) >= ep) continue;
-    telemetry::count(telemetry::Ctr::kEpochDrainTakeovers);
-    drained += drain_shard(s, ep, filter);
-  }
-  return drained;
-}
-
-bool EpochSys::help_drain_boundary(ThreadData& me) {
-  const uint64_t ep = drain_epoch_.load(std::memory_order_acquire);
-  // A published boundary is live only while its tick is still pending: once
-  // the clock moves past ep + 1 the tickets belong to history (and will be
-  // re-claimed at the next boundary), so helping would drain nothing.
-  if (ep < kFirstEpoch || ep + 1 != clock_->load(std::memory_order_acquire)) {
-    return false;
-  }
-  const int my_tid = static_cast<int>(&me - tds_.get());
-  const int my_shard = util::shard_of(my_tid, nshards_);
-  std::vector<uint64_t>* filter = nullptr;
-  if (opts_.coalesce) {
-    // Helpers keep their own epoch-stamped line filter (shard-local dedup):
-    // a shard is drained by exactly one claimant, so within-shard lines
-    // still flush once; only a line shared across shard boundaries can
-    // flush twice, which correctness never depended on.
-    if (me.wb_filter_epoch != ep) {
-      me.wb_filter_lines.clear();
-      me.wb_filter_epoch = ep;
-    }
-    filter = &me.wb_filter_lines;
-  }
-  bool helped = false;
-  for (int s = 0; s < nshards_; ++s) {
-    ShardTicket& tk = shard_tickets_[s];
-    uint64_t expect = tk.claim.load(std::memory_order_acquire);
-    if (expect >= ep) continue;
-    if (!tk.claim.compare_exchange_strong(expect, ep,
-                                          std::memory_order_acq_rel,
-                                          std::memory_order_acquire)) {
-      continue;
-    }
-    telemetry::count(telemetry::Ctr::kEpochDrainHelperClaims);
-    if (s != my_shard && consume_abandon(drain_abandon_claims_)) {
-      helped = true;  // test hook: claimed, then vanished mid-drain
-      continue;
-    }
-    drain_shard(s, ep, filter);
-    helped = true;
-  }
-  return helped;
 }
 
 void EpochSys::update_mindicator(ThreadData& td, int tid) {
@@ -1232,14 +773,6 @@ void EpochSys::adopt_thread(int tid, uint64_t upto) {
     return;
   }
   td.adopted.store(true, std::memory_order_release);
-  // Seal the orphan's staging through its op epoch, then fold the staged
-  // entries into the rings (seal-then-scan): the rollback's present-checks
-  // below must see every fast-path registration, and a resurrected owner
-  // that beats the adopted flag races either the seal (falls back to the
-  // mutex path, which throws Orphaned) or leaves a duplicate staged entry
-  // that later flushes as a rewrite of a dead-marked header — harmless.
-  // flush_staging never evicts, so no persistence event is issued here.
-  flush_staging(td, e + 1);
   // Replay abort_op's rollback on the orphan's behalf: cancel its queued
   // pdeletes, dead-mark everything the operation allocated and route it
   // through ring + deferred reclamation (see abort_op for why this is
@@ -1250,16 +783,11 @@ void EpochSys::adopt_thread(int tid, uint64_t upto) {
   cancel(td.to_free[e % 4], td.free_mark[0]);
   cancel(td.to_free[(e + 1) % 4], td.free_mark[1]);
   auto& ring = td.to_persist[e % 4];
-  auto& members = td.ring_members[e % 4];
   for (PBlk* p : td.op_new_blocks) {
     p->magic_ = kPBlkDead;
-    const bool present =
-        opts_.coalesce ? members.contains(p)
-                       : std::find(ring.begin(), ring.end(), p) != ring.end();
-    if (!present) {
+    if (std::find(ring.begin(), ring.end(), p) == ring.end()) {
       if (ring.empty()) td.ring_epoch[e % 4] = e;
       ring.push_back(p);
-      if (opts_.coalesce) members.insert(p);
     }
     queue_free(td, e, p);
   }
@@ -1336,11 +864,6 @@ bool EpochSys::try_advance_epoch(uint64_t abs_deadline_ns) {
         return false;
       }
       if (now > spin_end) break;  // wedged holder: go lock-free
-      // Sharded boundaries turn shield spinners into drain helpers: claim
-      // and drain any shard the leader has published but not yet claimed,
-      // so boundary write-back cost scales with shard width (DESIGN.md
-      // §15) instead of burning the wait on yield().
-      if (nshards_ > 1 && help_drain_boundary(my_td())) continue;
       std::this_thread::yield();
     }
   }
@@ -1357,56 +880,8 @@ bool EpochSys::try_advance_epoch(uint64_t abs_deadline_ns) {
   // buffers already drained — incremental write-back, sync helping — the
   // data fence can be skipped; the clock fence below still orders us.)
   std::size_t drained = 0;
-  std::size_t boundary_lines = 0;
-  if (opts_.coalesce) {
-    // Coalesced boundary (DESIGN.md §13). Phase A: seal EVERY pending
-    // epoch-(e-1) header across threads before any line is flushed — a
-    // line shared by two threads' payloads is flushed once (the filter
-    // below skips the second occurrence), so both headers must carry
-    // their checksums before the first flush. Safe to do in a separate
-    // pass: wait_all quiesced epoch e-1, so these rings only shrink (by
-    // drains) from here on, and blk_seal is idempotent.
-    for (int t = 0; t < hwm; ++t) {
-      ThreadData& td = tds_[t];
-      std::lock_guard tlk(td.m);
-      // Staged registrations must be ring-visible before the seal pass —
-      // the line-overlap checks below only see the rings. The seal word
-      // (e) closes epoch e-1 staging for good, so nothing can slip in
-      // between this pass and the drain.
-      flush_staging(td, e);
-      if (td.ring_epoch[(e - 1) % 4] == e - 1) {
-        for (PBlk* p : td.to_persist[(e - 1) % 4]) p->blk_seal();
-      }
-    }
-    // Phase B: drain per thread through this advancer's epoch-stamped line
-    // filter, so a line covered by two threads' rings costs one flush per
-    // boundary, and a retried boundary (transient IoError) skips what it
-    // already flushed. The stamp resets the filter whenever this thread
-    // advances a different epoch.
-    ThreadData& me = my_td();
-    if (me.wb_filter_epoch != e - 1) {
-      me.wb_filter_lines.clear();
-      me.wb_filter_epoch = e - 1;
-    }
-    const std::size_t filter_before = me.wb_filter_lines.size();
-    if (nshards_ > 1) {
-      drained += drain_boundary_sharded(me, e - 1);
-    } else {
-      for (int t = 0; t < hwm; ++t) {
-        drained += drain_ring(tds_[t], e - 1, &me.wb_filter_lines);
-      }
-    }
-    boundary_lines = me.wb_filter_lines.size() - filter_before;
-  } else if (nshards_ > 1) {
-    drained += drain_boundary_sharded(my_td(), e - 1);
-  } else {
-    for (int t = 0; t < hwm; ++t) drained += drain_ring(tds_[t], e - 1);
-  }
-  // Sharded boundaries always fence: a helper may have flushed lines this
-  // thread never saw (its drained count lives in the helper), and the data
-  // fence must cover those flushes before the clock CAS below. The flat
-  // path keeps the drained>0 elision.
-  if (drained > 0 || nshards_ > 1) fence_retry();
+  for (int t = 0; t < hwm; ++t) drained += drain_ring(tds_[t], e - 1);
+  if (drained > 0) fence_retry();
   // 3. Reclaim payloads whose grace period expired (unless workers do it).
   // Safe without exclusive ownership: reclaim_list swaps each list out
   // under td.m (a block is reclaimed once) and skips slots holding epochs
@@ -1423,14 +898,12 @@ bool EpochSys::try_advance_epoch(uint64_t abs_deadline_ns) {
   uint64_t expected = e;
   const bool won = clock_->compare_exchange_strong(
       expected, e + 1, std::memory_order_acq_rel, std::memory_order_acquire);
-  if (durable_clock_.load(std::memory_order_acquire) >= e + 1) {
-    // Clock-line dedup: durable_clock_ only moves after a persist+fence of
-    // a clock value at least that large, so a concurrent advancer has
-    // already made this tick durable — flushing the clock line again buys
-    // nothing. (Unreachable on the CAS-won path: the clock was e until our
-    // CAS, so no earlier flush can have covered e+1.)
-    telemetry::count(telemetry::Ctr::kWbCoalesced);
-  } else {
+  // Clock-line dedup: durable_clock_ only moves after a persist+fence of a
+  // clock value at least that large, so when it already covers e+1 a
+  // concurrent advancer has made this tick durable and flushing the clock
+  // line again buys nothing. (Never the case on the CAS-won path: the clock
+  // was e until our CAS, so no earlier flush can have covered e+1.)
+  if (durable_clock_.load(std::memory_order_acquire) < e + 1) {
     persist_retry(clock_, sizeof(*clock_));
     fence_retry();
     // The clock line just flushed held at least e+1 (our CAS or the
@@ -1452,28 +925,10 @@ bool EpochSys::try_advance_epoch(uint64_t abs_deadline_ns) {
                          util::now_ns() - t0);
       telemetry::observe(telemetry::Hist::kDrainBatch, drained);
       telemetry::observe(telemetry::Hist::kReclaimBatch, reclaimed);
-      if (opts_.coalesce) {
-        telemetry::observe(telemetry::Hist::kFlushLinesPerBoundary,
-                           boundary_lines);
-      }
     }
     telemetry::trace(telemetry::Ev::kEpochAdvance, e + 1, drained);
   }
   return true;
-}
-
-void EpochSys::help_persist_up_to(uint64_t e) {
-  // Drain every thread's rings for epochs <= e (only the three most recent
-  // slots can be populated) so a failed or slow advancer never leaves data
-  // hostage in DRAM buffers.
-  const int hwm = tid_hwm_.load(std::memory_order_acquire);
-  std::size_t drained = 0;
-  const uint64_t lo = e > kFirstEpoch + 2 ? e - 2 : kFirstEpoch;
-  for (uint64_t x = lo; x <= e; ++x) {
-    for (int t = 0; t < hwm; ++t) drained += drain_ring(tds_[t], x);
-  }
-  telemetry::count(telemetry::Ctr::kWbHelp, drained);
-  if (drained > 0) fence_retry();
 }
 
 void EpochSys::sync() { (void)sync_for(kNoDeadline); }
@@ -1513,16 +968,16 @@ bool EpochSys::sync_for(uint64_t deadline_ns) {
   }
   const uint64_t target = clock_->load(std::memory_order_acquire);
   // Everything up to `target` is durable once the clock reaches target+2.
-  // The caller drives the advances itself — including writing back its
-  // peers' buffers — so sync latency is bounded by the advance pipeline,
-  // not by the epoch length or the advancer's health. Every true return of
-  // try_advance_epoch implies the clock moved at least one tick past the
-  // value it read at entry, so this loop runs at most twice (DESIGN.md §12).
-  // With a deadline, a wedged peer that adoption cannot (or may not) clear
-  // makes this return false instead of hanging.
+  // The caller drives the advances itself — each one writes back its peers'
+  // buffers after wait_all has closed their epoch — so sync latency is
+  // bounded by the advance pipeline, not by the epoch length or the
+  // advancer's health. Every true return of try_advance_epoch implies the
+  // clock moved at least one tick past the value it read at entry, so this
+  // loop runs at most twice (DESIGN.md §12). With a deadline, a wedged peer
+  // that adoption cannot (or may not) clear makes this return false instead
+  // of hanging.
   uint64_t advances = 0;
   while (clock_->load(std::memory_order_acquire) < target + 2) {
-    help_persist_up_to(clock_->load(std::memory_order_acquire) - 1);
     if (!try_advance_epoch(abs_deadline)) {
       telemetry::count(telemetry::Ctr::kSyncTimeouts);
       if constexpr (telemetry::kEnabled) {
@@ -1540,14 +995,11 @@ bool EpochSys::sync_for(uint64_t deadline_ns) {
   // caller durability. Idempotent and a single line. Reading the clock
   // before the persist gives a conservative durable value: the flushed
   // line content can only be >= what we read.
+  // Clock-line dedup: when durable_clock_ already covers `seen`, a clock
+  // value >= seen is persisted AND fenced (the only way durable_clock_
+  // moves), so the tail flush would rewrite an identical-or-older line.
   const uint64_t seen = clock_->load(std::memory_order_acquire);
-  if (durable_clock_.load(std::memory_order_acquire) >= seen) {
-    // Clock-line dedup: a clock value >= seen is already persisted AND
-    // fenced (that is the only way durable_clock_ moves), so this tail
-    // flush would rewrite an identical-or-older line. The frontier the
-    // caller observes is exactly what the flush would have produced.
-    telemetry::count(telemetry::Ctr::kWbCoalesced);
-  } else {
+  if (durable_clock_.load(std::memory_order_acquire) < seen) {
     persist_retry(clock_, sizeof(*clock_));
     fence_retry();
     bump_durable_clock(seen);
@@ -1624,10 +1076,8 @@ void EpochSys::watchdog_poke(ThreadData& td) {
   // itself — the killed pacer costs nothing but the pacing hint. Every
   // successful advance refreshes last_tick_ns_, so a healthy cooperative-
   // only configuration never crosses the watchdog_ns_ alarm threshold
-  // below. Skipped when watchdog_restart opts into the thread-replacement
-  // model (pacing would mask the death the restart is meant to repair).
-  if (opts_.cooperative_advance && !opts_.watchdog_restart && advancer_dead &&
-      stale >= pace && stale < watchdog_ns_) {
+  // below.
+  if (advancer_dead && stale >= pace && stale < watchdog_ns_) {
     const uint64_t jitter = xorshift64(td.wd_rng) % (pace / 2 + 1);
     if (stale >= pace + jitter) {
       try {
@@ -1644,22 +1094,14 @@ void EpochSys::watchdog_poke(ThreadData& td) {
   const uint64_t jitter = xorshift64(td.wd_rng) % (watchdog_ns_ / 2 + 1);
   if (stale < watchdog_ns_ + jitter) return;
   if (advancer_dead) {
-    if (opts_.watchdog_restart) {
-      telemetry::count(telemetry::Ctr::kWatchdogRestarts);
-      telemetry::trace(telemetry::Ev::kWatchdogRestart, stale);
-      start_advancer();
-    } else {
-      // Telemetry-only alarm: the clock is genuinely stale — neither the
-      // advancer nor cooperative ticking is moving it (e.g. a wedged peer
-      // is blocking wait_all and adoption has not fired). Liveness recovery
-      // is the cooperative advance below, not a replacement thread.
-      telemetry::count(telemetry::Ctr::kWatchdogAlarms);
-      telemetry::trace(telemetry::Ev::kWatchdogRestart, stale);
-    }
+    // Telemetry-only alarm: the clock is genuinely stale — neither the
+    // advancer nor cooperative ticking is moving it (e.g. a wedged peer is
+    // blocking wait_all and adoption has not fired). Liveness recovery is
+    // the cooperative advance below, not a replacement thread.
+    telemetry::count(telemetry::Ctr::kWatchdogAlarms);
+    telemetry::trace(telemetry::Ev::kWatchdogRestart, stale);
   }
-  // Drive the clock cooperatively either way: a restarted advancer first
-  // sleeps a full epoch (and may die again immediately on a persistent
-  // fault), and in alarm-only mode this IS the recovery path.
+  // Drive the clock cooperatively: this IS the recovery path.
   try {
     (void)try_advance_epoch(now + watchdog_ns_);
   } catch (...) {

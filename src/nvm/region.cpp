@@ -187,42 +187,6 @@ void Region::persist(const void* addr, std::size_t len) {
   }
 }
 
-void Region::persist_lines(const uint64_t* lines, std::size_t n) {
-  if (n == 0) return;
-  switch (opts_.mode) {
-    case PersistMode::kPassthrough:
-      lines_flushed_.add(n);
-      break;
-    case PersistMode::kLatency: {
-      lines_flushed_.add(n);
-      auto& pend = my_pending();
-      const uint64_t now = util::now_ns();
-      pend.drain_clock_ns =
-          std::max(pend.drain_clock_ns, now) + opts_.flush_latency_ns * n;
-      if (pend.drain_clock_ns > now + opts_.wpq_backlog_ns) {
-        util::spin_for_ns(pend.drain_clock_ns - now - opts_.wpq_backlog_ns);
-      }
-      break;
-    }
-    case PersistMode::kTracked: {
-      // One persistence event per line: a crash schedule armed anywhere in
-      // [1, n] fires mid-drain, leaving earlier lines issued and later ones
-      // lost — exactly the partial-drain states enumeration must cover. On
-      // IoError the caller retries the whole batch; re-appending lines that
-      // already made it into the pending queue is harmless (the fence
-      // commits each line once per appearance).
-      auto& pend = my_pending();
-      for (std::size_t i = 0; i < n; ++i) {
-        bump_event();
-        lines_flushed_.add(1);
-        std::lock_guard lk(pend.m);
-        pend.lines.push_back(lines[i]);
-      }
-      break;
-    }
-  }
-}
-
 void Region::fence() {
   if (opts_.mode == PersistMode::kTracked) bump_event();
   fences_.add();

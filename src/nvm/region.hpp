@@ -154,21 +154,6 @@ class Region {
   /// sfence emulation: make this thread's outstanding writes-back durable.
   void fence();
 
-  /// Cache-line index (relative to base()) covering the byte at `p`.
-  /// `persist(p, len)` initiates write-back of exactly the lines
-  /// [line_index(p), line_index(p + len - 1)]; coalescing write-back
-  /// buffers use this to group pending payloads by destination line.
-  uint64_t line_index(const void* p) const { return line_of(p); }
-
-  /// Ranged clwb emulation: initiate write-back of `n` cache lines given by
-  /// index (as returned by line_index()). Equivalent to one persist() per
-  /// line but, in kTracked mode, each line counts as its OWN persistence
-  /// event — so an armed crash schedule can fire between any two lines of a
-  /// coalesced drain, and crash enumeration sweeps inside it. Durability is
-  /// only guaranteed after the next fence(). Duplicate indices are legal
-  /// (they flush twice); callers wanting dedup sort/unique first.
-  void persist_lines(const uint64_t* lines, std::size_t n);
-
   /// persist() immediately ordered by a fence(): [addr, len) is durable on
   /// return.
   void persist_fence(const void* addr, std::size_t len) {

@@ -905,20 +905,11 @@ std::string KvServer::stats_payload() {
   stat("curr_items", cache_->size());
   stat("epoch_current", esys_->current_epoch());
   stat("epoch_persisted", esys_->persisted_frontier());
-  // Persistence cost-model rows (DESIGN.md §13): raw line/fence traffic from
-  // the region's always-on sharded counters, plus the coalescing write-back
-  // effectiveness counters when telemetry is compiled in (the snapshot is
-  // empty under MONTAGE_TELEMETRY=OFF, so the rows simply disappear).
+  // Persistence cost-model rows: raw line/fence traffic from the region's
+  // always-on sharded counters.
   const auto rs = esys_->ralloc()->region()->stats();
   stat("nvm_lines_flushed", rs.lines_flushed);
   stat("nvm_fences", rs.fences);
-  const auto tc = telemetry::counters_snapshot();
-  if (!tc.empty()) {
-    stat("wb_coalesced",
-         tc[static_cast<std::size_t>(telemetry::Ctr::kWbCoalesced)].value);
-    stat("wb_dedup_hits",
-         tc[static_cast<std::size_t>(telemetry::Ctr::kWbDedupHits)].value);
-  }
   out += "END\r\n";
   return out;
 }

@@ -28,14 +28,11 @@ constexpr Meta kCounterMeta[kNumCounters] = {
     {"epoch.writebacks_overflow", "blocks"},
     {"epoch.writebacks_help", "blocks"},
     {"epoch.writebacks_direct", "blocks"},
-    {"epoch.writebacks_coalesced", "lines"},
-    {"epoch.writebacks_dedup_hits", "writes"},
     {"epoch.blocks_reclaimed", "blocks"},
     {"epoch.sync_calls", "calls"},
     {"epoch.sync_fast_path", "calls"},
     {"epoch.sync_timeouts", "calls"},
     {"epoch.adoptions", "ops"},
-    {"epoch.watchdog_restarts", "restarts"},
     {"epoch.watchdog_alarms", "alarms"},
     {"epoch.cooperative_advances", "advances"},
     {"epoch.sync_helped_payloads", "blocks"},
@@ -69,15 +66,10 @@ constexpr Meta kCounterMeta[kNumCounters] = {
     {"server.sync_path_caller", "syncs"},
     {"server.slow_ops", "requests"},
     {"server.admin_requests", "requests"},
-    {"epoch.shard_drains", "drains"},
-    {"epoch.drain_helper_claims", "claims"},
-    {"epoch.drain_takeovers", "takeovers"},
-    {"epoch.registration_lockfree_hits", "registrations"},
     {"epoch.advance_lock_waits", "waits"},
     {"ralloc.arena_refills", "refills"},
-    {"ralloc.arena_steals", "steals"},
 };
-static_assert(static_cast<uint32_t>(Ctr::kRallocArenaSteals) == kNumCounters - 1,
+static_assert(static_cast<uint32_t>(Ctr::kRallocArenaRefills) == kNumCounters - 1,
               "counter catalog out of sync with Ctr enum");
 
 constexpr Meta kHistMeta[kNumHists] = {
@@ -85,7 +77,6 @@ constexpr Meta kHistMeta[kNumHists] = {
     {"epoch.sync_latency_ns", "ns"},
     {"epoch.writeback_batch_blocks", "blocks"},
     {"epoch.reclaim_batch_blocks", "blocks"},
-    {"epoch.flush_lines_per_boundary", "lines"},
     {"bench.op_latency_ns", "ns"},
     {"server.ack_lag_ns", "ns"},
     {"server.drain_latency_ns", "ns"},

@@ -106,14 +106,11 @@ enum class Ctr : uint32_t {
   kWbOverflow,
   kWbHelp,
   kWbDirect,
-  kWbCoalesced,
-  kWbDedupHits,
   kBlocksReclaimed,
   kSyncCalls,
   kSyncFast,
   kSyncTimeouts,
   kAdoptions,
-  kWatchdogRestarts,
   kWatchdogAlarms,
   kCooperativeAdvances,
   kSyncHelpedPayloads,
@@ -147,13 +144,8 @@ enum class Ctr : uint32_t {
   kSrvSyncPathCaller,
   kSrvSlowOps,
   kSrvAdminRequests,
-  kEpochShardDrains,
-  kEpochDrainHelperClaims,
-  kEpochDrainTakeovers,
-  kEpochRegLockfreeHits,
   kEpochAdvanceLockWaits,
   kRallocArenaRefills,
-  kRallocArenaSteals,
   kCount,
 };
 
@@ -165,7 +157,6 @@ enum class Hist : uint32_t {
   kSyncLatency,
   kDrainBatch,
   kReclaimBatch,
-  kFlushLinesPerBoundary,
   kBenchOpLatency,
   kSrvAckLag,
   kSrvDrainLatency,

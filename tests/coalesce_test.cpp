@@ -1,17 +1,11 @@
-// Correctness tests for the cache-line coalescing write-back buffers
-// (DESIGN.md §13): registration dedup of same-PBlk re-writes within an
-// epoch, strictly fewer lines flushed with coalescing ON than OFF for an
-// identical workload, the MONTAGE_WB_COALESCE kill switch (including
-// strict value validation), and unchanged recovery semantics throughout.
+// Write-back of payloads re-written within one epoch: a back-to-back
+// re-write of the same PBlk stays one to_persist entry (the ring's newest
+// entry is updated in place), and a re-write with other writes in between
+// recovers its last value under every write-back mode.
 #include <gtest/gtest.h>
-
-#include <cstdlib>
-#include <stdexcept>
-#include <string>
 
 #include "montage/recoverable.hpp"
 #include "tests/test_env.hpp"
-#include "util/telemetry.hpp"
 
 namespace montage {
 namespace {
@@ -23,36 +17,32 @@ struct Pair : public PBlk {
   GENERATE_FIELD(uint64_t, b, Pair);
 };
 
-EpochSys::Options manual(bool coalesce = true) {
+EpochSys::Options manual() {
   EpochSys::Options o;
   o.start_advancer = false;
-  o.coalesce = coalesce;
   return o;
 }
 
-/// True when the environment pins MONTAGE_WB_COALESCE=0 (the check.sh
-/// kill-switch leg): the ON/OFF A-B tests degenerate to OFF/OFF there and
-/// skip; the recovery-guarantee tests still run on the fallback path.
-bool coalesce_killed() {
-  const char* v = std::getenv("MONTAGE_WB_COALESCE");
-  return v != nullptr && std::string(v) == "0";
-}
-
-uint64_t counter_value(const char* name) {
-  for (const auto& c : telemetry::counters_snapshot()) {
-    if (std::string(c.name) == name) return c.value;
-  }
-  return 0;
-}
-
-/// The same PBlk written twice in one epoch — with another block's write in
-/// between, which defeats the old back-of-ring dedup — must register once,
-/// count a dedup hit, and still recover the LAST value after a crash.
+/// The same PBlk written twice in one epoch: back to back, the re-write
+/// flushes no extra line at the boundary; with another block's write in
+/// between, both values still recover after a crash — the LAST one wins.
 TEST(Coalesce, SameBlockTwiceOneEpochDedupsAndRecovers) {
+  auto lines_for = [](bool rewrite) -> uint64_t {
+    PersistentEnv env(8ull << 20, manual());
+    EpochSys* es = env.esys();
+    es->begin_op();
+    Pair* p = es->pnew<Pair>();
+    p = p->set_a(1);
+    if (rewrite) p = p->set_b(3);  // newest ring entry: updated in place
+    es->end_op();
+    es->sync();
+    return env.region()->stats().lines_flushed;
+  };
+  EXPECT_EQ(lines_for(true), lines_for(false))
+      << "a back-to-back re-write of the same PBlk must not persist it twice";
+
   PersistentEnv env(8ull << 20, manual());
   EpochSys* es = env.esys();
-  const bool coalescing = es->options().coalesce;  // off under kill switch
-  telemetry::reset_metrics();
   es->begin_op();
   Pair* p = es->pnew<Pair>();
   p = p->set_a(1);
@@ -60,10 +50,6 @@ TEST(Coalesce, SameBlockTwiceOneEpochDedupsAndRecovers) {
   q = q->set_a(2);
   p = p->set_b(3);  // re-write of p, with q registered in between
   es->end_op();
-  if (telemetry::kEnabled && coalescing) {
-    EXPECT_GE(counter_value("epoch.writebacks_dedup_hits"), 1u)
-        << "a second write of the same PBlk in one epoch must dedup";
-  }
   es->sync();
   auto survivors = env.crash_and_recover(1, manual());
   ASSERT_EQ(survivors.size(), 2u);
@@ -77,68 +63,12 @@ TEST(Coalesce, SameBlockTwiceOneEpochDedupsAndRecovers) {
   EXPECT_EQ(sum_b, 3u);  // the re-written field survived
 }
 
-/// Identical single-threaded workloads with coalescing ON vs OFF: ON must
-/// flush strictly fewer cache lines, because the twice-written payload
-/// drains once instead of twice and each distinct dirty line is flushed
-/// exactly once per boundary.
-TEST(Coalesce, OnFlushesFewerLinesThanOff) {
-  if (coalesce_killed()) {
-    GTEST_SKIP() << "MONTAGE_WB_COALESCE=0 forces both runs onto one path";
-  }
-  auto run = [](bool coalesce) -> uint64_t {
-    PersistentEnv env(8ull << 20, manual(coalesce));
-    EpochSys* es = env.esys();
-    for (int i = 0; i < 16; ++i) {
-      es->begin_op();
-      Pair* p = es->pnew<Pair>();
-      p = p->set_a(static_cast<uint64_t>(i));
-      Pair* q = es->pnew<Pair>();
-      q = q->set_a(100 + static_cast<uint64_t>(i));
-      p = p->set_b(7);  // re-write: without dedup this persists p twice
-      es->end_op();
-    }
-    es->sync();
-    return env.region()->stats().lines_flushed;
-  };
-  const uint64_t off = run(false);
-  const uint64_t on = run(true);
-  EXPECT_LT(on, off) << "coalescing must reduce lines flushed for a "
-                        "workload with same-epoch re-writes";
-}
-
-/// MONTAGE_WB_COALESCE overrides Options::coalesce in both directions and
-/// rejects garbage values (strict env validation, same contract as the
-/// other MONTAGE_* knobs).
-TEST(Coalesce, EnvKillSwitchOverridesAndValidates) {
-  const char* ambient = std::getenv("MONTAGE_WB_COALESCE");
-  const std::string saved = ambient != nullptr ? ambient : "";
-  ASSERT_EQ(::setenv("MONTAGE_WB_COALESCE", "0", 1), 0);
-  {
-    PersistentEnv env(8ull << 20, manual(true));
-    EXPECT_FALSE(env.esys()->options().coalesce);
-  }
-  ASSERT_EQ(::setenv("MONTAGE_WB_COALESCE", "1", 1), 0);
-  {
-    PersistentEnv env(8ull << 20, manual(false));
-    EXPECT_TRUE(env.esys()->options().coalesce);
-  }
-  ASSERT_EQ(::setenv("MONTAGE_WB_COALESCE", "maybe", 1), 0);
-  EXPECT_THROW(PersistentEnv(8ull << 20, manual(true)),
-               std::invalid_argument);
-  if (ambient != nullptr) {
-    ASSERT_EQ(::setenv("MONTAGE_WB_COALESCE", saved.c_str(), 1), 0);
-  } else {
-    ASSERT_EQ(::unsetenv("MONTAGE_WB_COALESCE"), 0);
-  }
-}
-
-/// Coalescing routes every write-back mode through the ranged line flush
-/// (persist_block included); each mode must keep the synced-state-survives
-/// guarantee with coalescing on.
+/// Every write-back mode must keep the synced-state-survives guarantee for
+/// payloads re-written within the epoch that created them.
 TEST(Coalesce, AllWriteBackModesRecoverWithCoalescing) {
   for (WriteBack wb :
        {WriteBack::kBuffered, WriteBack::kPerOp, WriteBack::kImmediate}) {
-    EpochSys::Options o = manual(true);
+    EpochSys::Options o = manual();
     o.write_back = wb;
     PersistentEnv env(8ull << 20, o);
     EpochSys* es = env.esys();
@@ -151,7 +81,11 @@ TEST(Coalesce, AllWriteBackModesRecoverWithCoalescing) {
     }
     es->sync();
     auto survivors = env.crash_and_recover(1, o);
-    EXPECT_EQ(survivors.size(), 8u)
+    ASSERT_EQ(survivors.size(), 8u)
+        << "write-back mode " << static_cast<int>(wb);
+    uint64_t sum_b = 0;
+    for (PBlk* blk : survivors) sum_b += static_cast<Pair*>(blk)->get_unsafe_b();
+    EXPECT_EQ(sum_b, 56u)  // 2 * (0 + 1 + ... + 7): every re-write survived
         << "write-back mode " << static_cast<int>(wb);
   }
 }

@@ -2,6 +2,9 @@
 // clone updates, PDELETE/anti-payloads, sync, and the write-back modes.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+
 #include "montage/recoverable.hpp"
 #include "tests/test_env.hpp"
 
@@ -297,6 +300,43 @@ TEST(EpochSys, MindicatorReflectsUnpersistedWork) {
   es->advance_epoch();  // drains the ring for e at the advance ending e+1
   es->advance_epoch();
   EXPECT_EQ(es->mindicator().min(), Mindicator::kIdle);
+}
+
+TEST(EpochSys, TimedOutSyncNeverSealsAnOpenOperation) {
+  // A sync that times out on a peer's open operation must not write back
+  // that operation's payloads: the owner may still change their headers
+  // (set_blk_tag is not a registered write), and a header flushed with its
+  // old checksum would be quarantined by recovery after the owner's own
+  // sync had acknowledged the payload.
+  PersistentEnv env(64 << 20, no_advancer());
+  EpochSys* es = env.esys();
+  constexpr uint32_t kTag = 0x7a6;
+  std::atomic<int> step{0};
+  std::thread owner([&] {
+    es->begin_op();
+    IntPayload* p = es->pnew<IntPayload>()->set_val(42);
+    step.store(1);
+    while (step.load() != 2) std::this_thread::yield();
+    p->set_blk_tag(kTag);  // still the op's epoch: the header changes in place
+    es->end_op();
+    es->sync();
+  });
+  while (step.load() != 1) std::this_thread::yield();
+  es->advance_epoch();
+  EXPECT_FALSE(es->sync_for(1'000'000)) << "the owner's op is still open";
+  step.store(2);
+  owner.join();
+
+  auto survivors = env.crash_and_recover(1, no_advancer());
+  EXPECT_EQ(env.esys()->last_recovery_report().quarantined_corrupt, 0u);
+  std::size_t tagged = 0;
+  for (PBlk* b : survivors) {
+    if (b->blk_tag() == kTag) {
+      ++tagged;
+      EXPECT_EQ(static_cast<IntPayload*>(b)->get_unsafe_val(), 42u);
+    }
+  }
+  EXPECT_EQ(tagged, 1u) << "the acknowledged, tagged payload was lost";
 }
 
 TEST(EpochSys, BufferOverflowWritesBackIncrementally) {

@@ -28,12 +28,10 @@ struct ParamCase {
   std::size_t buffer_capacity;
   WriteBack write_back;
   bool local_free;
-  bool coalesce = true;
 
   friend std::ostream& operator<<(std::ostream& os, const ParamCase& p) {
     os << "buf" << p.buffer_capacity << "_wb"
-       << static_cast<int>(p.write_back) << (p.local_free ? "_localfree" : "")
-       << (p.coalesce ? "" : "_nocoalesce");
+       << static_cast<int>(p.write_back) << (p.local_free ? "_localfree" : "");
     return os;
   }
 };
@@ -46,7 +44,6 @@ class EpochParamTest : public ::testing::TestWithParam<ParamCase> {
     o.buffer_capacity = GetParam().buffer_capacity;
     o.write_back = GetParam().write_back;
     o.local_free = GetParam().local_free;
-    o.coalesce = GetParam().coalesce;
     return o;
   }
 };
@@ -59,6 +56,20 @@ TEST_P(EpochParamTest, SyncedStateSurvivesCrash) {
   std::map<uint64_t, KvPayload*> live;
   std::map<uint64_t, uint64_t> model;
   util::Xorshift128Plus rng(GetParam().buffer_capacity + 1);
+
+  // A payload written twice in one epoch, with another payload's write in
+  // between (so the second registration is not the ring's newest entry),
+  // must recover its last value.
+  for (uint64_t k = 100; k < 108; ++k) {
+    es->begin_op();
+    KvPayload* p = es->pnew<KvPayload>()->set_key(k);
+    KvPayload* q = es->pnew<KvPayload>()->set_key(k + 100);
+    live[k + 100] = q->set_val(1);
+    live[k] = p->set_val(k * 2);
+    model[k + 100] = 1;
+    model[k] = k * 2;
+    es->end_op();
+  }
 
   for (int i = 0; i < 400; ++i) {
     const uint64_t k = rng.next_bounded(60);
@@ -178,13 +189,7 @@ INSTANTIATE_TEST_SUITE_P(
                       ParamCase{64, WriteBack::kPerOp, false},
                       ParamCase{64, WriteBack::kImmediate, false},
                       ParamCase{64, WriteBack::kBuffered, true},
-                      ParamCase{2, WriteBack::kBuffered, true},
-                      // The MONTAGE_WB_COALESCE=0 fallback path must hold
-                      // the same guarantees across all write-back modes.
-                      ParamCase{64, WriteBack::kBuffered, false, false},
-                      ParamCase{64, WriteBack::kPerOp, false, false},
-                      ParamCase{64, WriteBack::kImmediate, false, false},
-                      ParamCase{2, WriteBack::kBuffered, true, false}),
+                      ParamCase{2, WriteBack::kBuffered, true}),
     [](const ::testing::TestParamInfo<ParamCase>& info) {
       std::ostringstream os;
       os << info.param;
@@ -242,17 +247,15 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CrashFuzzTest, ::testing::Range(0, 12));
 /// Regression (DESIGN.md §12): every cooperative advance refreshes the
 /// staleness timestamp the watchdog reads, so a HEALTHY cooperative-only
 /// configuration — advancer dead, workers pacing the clock themselves —
-/// must never cross the alarm threshold, let alone restart anything. Before
-/// the fix, only the background advancer's ticks refreshed the timestamp
-/// and a cooperative-only run alarmed (or restarted) spuriously on every
-/// watchdog_ns window.
+/// must never cross the alarm threshold. Before the fix, only the
+/// background advancer's ticks refreshed the timestamp and a
+/// cooperative-only run alarmed spuriously on every watchdog_ns window.
 TEST(CooperativeWatchdog, HealthyCooperativePacingNeverAlarms) {
   EpochSys::Options o;
   o.epoch_length_ns = 1'000'000;  // 1 ms pace
   o.watchdog_ns = 8'000'000;      // alarm after 8 ms without any tick
   PersistentEnv env(64 << 20, o);
   EpochSys* es = env.esys();
-  ASSERT_FALSE(es->options().watchdog_restart);
   telemetry::reset_metrics();
 
   es->inject_advancer_kill();
@@ -278,13 +281,11 @@ TEST(CooperativeWatchdog, HealthyCooperativePacingNeverAlarms) {
   EXPECT_GE(es->current_epoch(), c0 + 3) << "cooperative pacing stalled";
   EXPECT_FALSE(es->advancer_alive()) << "something restarted the advancer";
   if (telemetry::kEnabled) {
-    uint64_t restarts = 0, alarms = 0, coop = 0;
+    uint64_t alarms = 0, coop = 0;
     for (const auto& c : telemetry::counters_snapshot()) {
-      if (std::string(c.name) == "epoch.watchdog_restarts") restarts = c.value;
       if (std::string(c.name) == "epoch.watchdog_alarms") alarms = c.value;
       if (std::string(c.name) == "epoch.cooperative_advances") coop = c.value;
     }
-    EXPECT_EQ(restarts, 0u) << "healthy cooperative config restarted";
     EXPECT_EQ(alarms, 0u) << "healthy cooperative config alarmed";
     EXPECT_GE(coop, 3u);
   }
