@@ -1,14 +1,12 @@
 // Google-benchmark microbenchmarks of Montage's building blocks, including
 // the ablations DESIGN.md calls out:
 //   * DCSS cas_verify vs a plain CAS (the price of epoch verification)
-//   * mindicator update vs a naive linear scan of per-thread minima
 //   * Ralloc hot path, PNEW/PDELETE, BEGIN_OP/END_OP, persist/fence.
 #include <benchmark/benchmark.h>
 
 #include <memory>
 
 #include "montage/dcss.hpp"
-#include "montage/mindicator.hpp"
 #include "montage/recoverable.hpp"
 #include "nvm/region.hpp"
 #include "ralloc/ralloc.hpp"
@@ -121,31 +119,6 @@ void BM_PlainCas(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PlainCas);
-
-// Ablation: mindicator tree update vs recomputing a min by linear scan.
-void BM_MindicatorSet(benchmark::State& state) {
-  Mindicator m(256);
-  uint64_t v = 0;
-  for (auto _ : state) {
-    m.set(17, ++v);
-    benchmark::DoNotOptimize(m.min());
-  }
-}
-BENCHMARK(BM_MindicatorSet);
-
-void BM_LinearScanMin(benchmark::State& state) {
-  std::vector<std::atomic<uint64_t>> leaves(256);
-  uint64_t v = 0;
-  for (auto _ : state) {
-    leaves[17].store(++v, std::memory_order_release);
-    uint64_t mn = ~0ull;
-    for (auto& l : leaves) {
-      mn = std::min(mn, l.load(std::memory_order_acquire));
-    }
-    benchmark::DoNotOptimize(mn);
-  }
-}
-BENCHMARK(BM_LinearScanMin);
 
 void BM_PersistFence1KB(benchmark::State& state) {
   auto* ral = env().ral.get();

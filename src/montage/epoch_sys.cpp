@@ -74,7 +74,6 @@ EpochSys::EpochSys(ralloc::Ralloc* ral, const Options& opts, bool recover)
       opts_(opts),
       clock_(&ral->region()->root(kClockRoot)),
       tds_(std::make_unique<ThreadData[]>(opts.max_threads)),
-      mind_(opts.max_threads),
       uid_root_(&ral->region()->root(kUidRoot)) {
   nvm::Region* region = ral_->region();
   if (recover) {
@@ -145,32 +144,39 @@ void EpochSys::stop_advancer() {
   // fresh thread or prevents it from starting at all, and
   // double stops (destructor after an explicit stop, stop before any start)
   // find nothing joinable and return.
-  std::unique_lock lk(advancer_mutex_, std::try_to_lock);
-  if (!lk.owns_lock()) {
-    telemetry::count(telemetry::Ctr::kEpochAdvanceLockWaits);
-    lk.lock();
+  std::lock_guard lk(advancer_mutex_);
+  {
+    std::lock_guard pace(pace_mutex_);
+    stop_.store(true, std::memory_order_release);
   }
-  stop_.store(true, std::memory_order_release);
+  pace_cv_.notify_all();
   if (advancer_.joinable()) advancer_.join();
   advancer_running_.store(false, std::memory_order_release);
 }
 
 void EpochSys::start_advancer() {
   if (opts_.transient) return;
-  std::unique_lock lk(advancer_mutex_, std::try_to_lock);
-  if (!lk.owns_lock()) {
-    telemetry::count(telemetry::Ctr::kEpochAdvanceLockWaits);
-    lk.lock();
-  }
+  std::lock_guard lk(advancer_mutex_);
   start_advancer_locked();
+}
+
+void EpochSys::inject_advancer_kill() {
+  {
+    std::lock_guard pace(pace_mutex_);
+    advancer_kill_.store(true, std::memory_order_release);
+  }
+  pace_cv_.notify_all();
 }
 
 void EpochSys::start_advancer_locked() {
   if (shutdown_.load(std::memory_order_acquire)) return;
   if (advancer_running_.load(std::memory_order_acquire)) return;
   if (advancer_.joinable()) advancer_.join();  // reap a dead advancer body
-  stop_.store(false, std::memory_order_release);
-  advancer_kill_.store(false, std::memory_order_release);
+  {
+    std::lock_guard pace(pace_mutex_);
+    stop_.store(false, std::memory_order_release);
+    advancer_kill_.store(false, std::memory_order_release);
+  }
   // Reset the staleness clock so a restart is not immediately re-flagged.
   last_tick_ns_.store(util::now_ns(), std::memory_order_relaxed);
   advancer_running_.store(true, std::memory_order_release);
@@ -182,14 +188,11 @@ void EpochSys::advancer_loop() {
   const uint64_t len = opts_.epoch_length_ns;
   while (!stop_.load(std::memory_order_acquire)) {
     if (len >= 1'000'000) {
-      // Sleep in <=1 ms slices so shutdown stays responsive.
-      uint64_t remaining = len;
-      while (remaining > 0 && !stop_.load(std::memory_order_acquire) &&
-             !advancer_kill_.load(std::memory_order_acquire)) {
-        const uint64_t slice = std::min<uint64_t>(remaining, 1'000'000);
-        std::this_thread::sleep_for(std::chrono::nanoseconds(slice));
-        remaining -= slice;
-      }
+      std::unique_lock pace(pace_mutex_);
+      pace_cv_.wait_for(pace, std::chrono::nanoseconds(len), [this] {
+        return stop_.load(std::memory_order_acquire) ||
+               advancer_kill_.load(std::memory_order_acquire);
+      });
     } else {
       util::spin_for_ns(len);
     }
@@ -253,14 +256,6 @@ uint64_t EpochSys::begin_op() {
   td.in_op = true;
   td.op_epoch = e;
   tls_esys = this;
-  // op_new_blocks is shared with a potential adopter, so it is only touched
-  // under td.m; the mindicator leaf is re-admitted in case a previous
-  // adoption parked it.
-  {
-    std::lock_guard lk(td.m);
-    td.op_new_blocks.clear();
-    if (mind_.parked(tid)) mind_.unpark(tid);
-  }
 
   // Help any waiting sync(): write back our own stale buffers early.
   if (syncs_pending_.load(std::memory_order_relaxed) > 0) {
@@ -409,64 +404,59 @@ void EpochSys::abort_op() noexcept {
   if (!td.in_op) return;
   telemetry::count(telemetry::Ctr::kOpsAborted);
   if (!opts_.transient) {
-    const uint64_t e = td.op_epoch;
-    {
-      std::lock_guard lk(td.m);
-      if (td.adopted.load(std::memory_order_acquire)) {
-        // An adopter already performed this rollback cross-thread (the
-        // check must happen under td.m, or a concurrent adoption could
-        // double-queue every block for reclamation).
-        td.op_new_blocks.clear();
-        td.adopted.store(false, std::memory_order_release);
-        td.per_op_writes.clear();
-        td.wrote = false;
-        td.in_op = false;
-        td.op_epoch = kNoEpoch;
-        td.last_op_adopted = true;
-        tls_esys = nullptr;
-        return;
-      }
-      // Cancel the pdelete / ensure_writable requests this operation queued:
-      // their victims stay live in the structure. The size guard tolerates a
-      // list that was swapped out from under the mark (cannot happen while
-      // the op is still announced, but cheap to be safe about).
-      auto cancel = [](std::vector<PBlk*>& v, std::size_t mark) {
-        if (v.size() > mark) v.resize(mark);
-      };
-      cancel(td.to_free[e % 4], td.free_mark[0]);
-      cancel(td.to_free[(e + 1) % 4], td.free_mark[1]);
-      // Neutralize every block the operation allocated (payloads, clones,
-      // anti-payloads). The dead-mark is DRAM-only here — no persist or
-      // fence is issued, so abort_op cannot throw even while unwinding a
-      // CrashPointException. That is sufficient: if one of these headers
-      // already reached NVM (ring overflow, eviction), the ring entry
-      // ensured below rewrites it dead at the next epoch boundary, and a
-      // crash before that boundary has cutoff < e, which discards epoch-e
-      // blocks anyway.
-      auto& ring = td.to_persist[e % 4];
-      for (PBlk* p : td.op_new_blocks) {
-        p->magic_ = kPBlkDead;
-        if (std::find(ring.begin(), ring.end(), p) == ring.end()) {
-          // Re-enter the write-back ring, past its capacity bound if need
-          // be: bounded overflow would write back (an event that could
-          // throw), and the excess drains at the next epoch boundary.
-          if (ring.empty()) td.ring_epoch[e % 4] = e;
-          ring.push_back(p);
-        }
-        // Queue for the normal two-epoch-deferred reclamation, which
-        // persists the dead header before the memory is reused.
-        queue_free(td, e, p);
-      }
-      update_mindicator(td, static_cast<int>(&td - tds_.get()));
+    std::unique_lock lk(td.m);
+    if (td.adopted.load(std::memory_order_acquire)) {
+      // An adopter already performed this rollback cross-thread.
+      lk.unlock();
+      finish_adopted_op(td);
+      return;
     }
-    td.op_new_blocks.clear();
-    td.per_op_writes.clear();
-    td.wrote = false;
-    td.active.store(kNoEpoch, std::memory_order_release);
+    // The slot is released before td.m drops, so an adopter whose deadline
+    // has passed can never roll this operation back a second time.
+    roll_back_locked(td, td.op_epoch);
   }
+  td.per_op_writes.clear();
+  td.wrote = false;
   td.in_op = false;
   td.op_epoch = kNoEpoch;
   tls_esys = nullptr;
+}
+
+void EpochSys::roll_back_locked(ThreadData& td, uint64_t e) {
+  // Cancel the pdelete / ensure_writable requests this operation queued:
+  // their victims stay live in the structure. The size guard tolerates a
+  // list that was swapped out from under the mark (cannot happen while
+  // the op is still announced, but cheap to be safe about).
+  auto cancel = [](std::vector<PBlk*>& v, std::size_t mark) {
+    if (v.size() > mark) v.resize(mark);
+  };
+  cancel(td.to_free[e % 4], td.free_mark[0]);
+  cancel(td.to_free[(e + 1) % 4], td.free_mark[1]);
+  // Neutralize every block the operation allocated (payloads, clones,
+  // anti-payloads). The dead-mark is DRAM-only here — no persist or
+  // fence is issued, so abort_op cannot throw even while unwinding a
+  // CrashPointException. That is sufficient: if one of these headers
+  // already reached NVM (ring overflow, eviction), the ring entry
+  // ensured below rewrites it dead at the next epoch boundary, and a
+  // crash before that boundary has cutoff < e, which discards epoch-e
+  // blocks anyway.
+  auto& ring = td.to_persist[e % 4];
+  for (PBlk* p : td.op_new_blocks) {
+    p->magic_ = kPBlkDead;
+    if (std::find(ring.begin(), ring.end(), p) == ring.end()) {
+      // Re-enter the write-back ring, past its capacity bound if need
+      // be: bounded overflow would write back (an event that could
+      // throw), and the excess drains at the next epoch boundary.
+      if (ring.empty()) td.ring_epoch[e % 4] = e;
+      ring.push_back(p);
+    }
+    // Queue for the normal two-epoch-deferred reclamation, which
+    // persists the dead header before the memory is reused.
+    queue_free(td, e, p);
+  }
+  td.op_new_blocks.clear();
+  td.op_start_ns.store(0, std::memory_order_release);
+  td.active.store(kNoEpoch, std::memory_order_release);
 }
 
 bool EpochSys::in_op() const { return my_td().in_op; }
@@ -670,7 +660,6 @@ void EpochSys::ring_push(ThreadData& td, uint64_t e, PBlk* p) {
     ring.pop_front();
   }
   ring.push_back(p);
-  update_mindicator(td, static_cast<int>(&td - tds_.get()));
 }
 
 std::size_t EpochSys::drain_ring(ThreadData& td, uint64_t e) {
@@ -682,16 +671,7 @@ std::size_t EpochSys::drain_ring(ThreadData& td, uint64_t e) {
   for (PBlk* p : ring) persist_block(p);
   const std::size_t n = ring.size();
   ring.clear();
-  update_mindicator(td, static_cast<int>(&td - tds_.get()));
   return n;
-}
-
-void EpochSys::update_mindicator(ThreadData& td, int tid) {
-  uint64_t oldest = Mindicator::kIdle;
-  for (int s = 0; s < 4; ++s) {
-    if (!td.to_persist[s].empty()) oldest = std::min(oldest, td.ring_epoch[s]);
-  }
-  mind_.set(tid, oldest);
 }
 
 void EpochSys::reclaim_now(PBlk* p) {
@@ -773,33 +753,7 @@ void EpochSys::adopt_thread(int tid, uint64_t upto) {
     return;
   }
   td.adopted.store(true, std::memory_order_release);
-  // Replay abort_op's rollback on the orphan's behalf: cancel its queued
-  // pdeletes, dead-mark everything the operation allocated and route it
-  // through ring + deferred reclamation (see abort_op for why this is
-  // crash-safe without issuing any persistence event here).
-  auto cancel = [](std::vector<PBlk*>& v, std::size_t mark) {
-    if (v.size() > mark) v.resize(mark);
-  };
-  cancel(td.to_free[e % 4], td.free_mark[0]);
-  cancel(td.to_free[(e + 1) % 4], td.free_mark[1]);
-  auto& ring = td.to_persist[e % 4];
-  for (PBlk* p : td.op_new_blocks) {
-    p->magic_ = kPBlkDead;
-    if (std::find(ring.begin(), ring.end(), p) == ring.end()) {
-      if (ring.empty()) td.ring_epoch[e % 4] = e;
-      ring.push_back(p);
-    }
-    queue_free(td, e, p);
-  }
-  td.op_new_blocks.clear();
-  update_mindicator(td, tid);
-  // Park the orphan's mindicator leaf: its remaining buffers are now the
-  // advancing thread's responsibility (drained at the next boundary), so a
-  // possibly-dead thread must not pin the persistence frontier. begin_op
-  // re-admits the leaf if the thread comes back.
-  mind_.park(tid);
-  td.op_start_ns.store(0, std::memory_order_release);
-  td.active.store(kNoEpoch, std::memory_order_release);
+  roll_back_locked(td, e);
   adopted_ops_.fetch_add(1, std::memory_order_relaxed);
   telemetry::count(telemetry::Ctr::kAdoptions);
   telemetry::trace(telemetry::Ev::kAdoption, static_cast<uint64_t>(tid), e);
@@ -815,6 +769,16 @@ void EpochSys::bump_durable_clock(uint64_t v) {
                       d, v, std::memory_order_release,
                       std::memory_order_relaxed)) {
   }
+}
+
+void EpochSys::persist_clock(uint64_t v) {
+  // Clock-line dedup: durable_clock_ only moves after a persist+fence of a
+  // clock value at least that large, so when it already covers v the flush
+  // would rewrite an identical-or-older line.
+  if (durable_clock_.load(std::memory_order_acquire) >= v) return;
+  persist_retry(clock_, sizeof(*clock_));
+  fence_retry();
+  bump_durable_clock(v);
 }
 
 bool EpochSys::try_advance_epoch(uint64_t abs_deadline_ns) {
@@ -898,21 +862,14 @@ bool EpochSys::try_advance_epoch(uint64_t abs_deadline_ns) {
   uint64_t expected = e;
   const bool won = clock_->compare_exchange_strong(
       expected, e + 1, std::memory_order_acq_rel, std::memory_order_acquire);
-  // Clock-line dedup: durable_clock_ only moves after a persist+fence of a
-  // clock value at least that large, so when it already covers e+1 a
-  // concurrent advancer has made this tick durable and flushing the clock
-  // line again buys nothing. (Never the case on the CAS-won path: the clock
-  // was e until our CAS, so no earlier flush can have covered e+1.)
-  if (durable_clock_.load(std::memory_order_acquire) < e + 1) {
-    persist_retry(clock_, sizeof(*clock_));
-    fence_retry();
-    // The clock line just flushed held at least e+1 (our CAS or the
-    // winner's larger value) — only now may the durable frontier move. A
-    // concurrent advancer still between its CAS and its persist leaves the
-    // frontier where it was, so nothing downstream (e.g. the server's ACK
-    // release) can treat its DRAM-only tick as durable.
-    bump_durable_clock(e + 1);
-  }
+  // The clock now holds at least e+1 (our CAS or the winner's larger
+  // value). When durable_clock_ already covers e+1 a concurrent advancer
+  // made this tick durable (never the case on the CAS-won path: the clock
+  // was e until our CAS). Otherwise the frontier moves only after our own
+  // flush, so a concurrent advancer still between its CAS and its persist
+  // cannot make anything downstream (e.g. the server's ACK release) treat
+  // its DRAM-only tick as durable.
+  persist_clock(e + 1);
   last_tick_ns_.store(util::now_ns(), std::memory_order_relaxed);
   if (won) {
     if constexpr (telemetry::kEnabled) {
@@ -995,15 +952,7 @@ bool EpochSys::sync_for(uint64_t deadline_ns) {
   // caller durability. Idempotent and a single line. Reading the clock
   // before the persist gives a conservative durable value: the flushed
   // line content can only be >= what we read.
-  // Clock-line dedup: when durable_clock_ already covers `seen`, a clock
-  // value >= seen is persisted AND fenced (the only way durable_clock_
-  // moves), so the tail flush would rewrite an identical-or-older line.
-  const uint64_t seen = clock_->load(std::memory_order_acquire);
-  if (durable_clock_.load(std::memory_order_acquire) < seen) {
-    persist_retry(clock_, sizeof(*clock_));
-    fence_retry();
-    bump_durable_clock(seen);
-  }
+  persist_clock(clock_->load(std::memory_order_acquire));
   if (advances == 0) {
     telemetry::count(telemetry::Ctr::kSyncFast);
   } else {

@@ -38,6 +38,7 @@
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <exception>
@@ -48,9 +49,9 @@
 #include <thread>
 #include <vector>
 
-#include "montage/mindicator.hpp"
 #include "montage/pblk.hpp"
 #include "ralloc/ralloc.hpp"
+#include "util/padded.hpp"
 #include "util/telemetry.hpp"
 #include "util/threadid.hpp"
 
@@ -294,9 +295,7 @@ class EpochSys {
   /// TEST ONLY: make the advancer thread exit abruptly at its next wake-up,
   /// as if it had been killed — no cleanup, stop flag untouched. Used to
   /// exercise cooperative advance deterministically.
-  void inject_advancer_kill() {
-    advancer_kill_.store(true, std::memory_order_release);
-  }
+  void inject_advancer_kill();
 
   /// Operations adopted from stalled threads since construction.
   uint64_t adopted_op_count() const {
@@ -305,10 +304,6 @@ class EpochSys {
   /// True iff the calling thread's most recent operation was adopted (its
   /// effects were rolled back) rather than committed.
   bool last_op_adopted() const { return my_td().last_op_adopted; }
-  /// Monotonic timestamp of the last completed epoch advance.
-  uint64_t last_tick_ns() const {
-    return last_tick_ns_.load(std::memory_order_relaxed);
-  }
 
   // ---- recovery --------------------------------------------------------------
 
@@ -328,8 +323,6 @@ class EpochSys {
   ralloc::Ralloc* ralloc() const { return ral_; }
   /// Effective options (env overrides applied).
   const Options& options() const { return opts_; }
-  /// The min-epoch tracker over per-thread write-back buffers.
-  const Mindicator& mindicator() const { return mind_; }
 
   // ---- thread-local access for the field macros ------------------------------
 
@@ -435,6 +428,16 @@ class EpochSys {
   /// fenced.
   void bump_durable_clock(uint64_t v);
 
+  /// Make a clock value >= `v` durable: unless durable_clock_ already
+  /// covers `v`, write back and fence the clock line, then raise
+  /// durable_clock_ to `v`. Call only once the DRAM clock holds >= v.
+  void persist_clock(uint64_t v);
+
+  /// Roll back `td`'s open operation in epoch `e` and release its tracker
+  /// slot, issuing no persistence event. Caller holds td.m; abort_op runs
+  /// it for the owner, adopt_thread for a stalled one.
+  void roll_back_locked(ThreadData& td, uint64_t e);
+
   /// Cross-thread abort of thread `tid`'s stalled operation (epoch <= upto):
   /// roll it back exactly as abort_op() would and release its tracker slot.
   void adopt_thread(int tid, uint64_t upto);
@@ -458,8 +461,6 @@ class EpochSys {
   /// when the clock has gone watchdog_ns_ stale.
   void watchdog_poke(ThreadData& td);
 
-  void update_mindicator(ThreadData& td, int tid);
-
   void advancer_loop();
   void start_advancer_locked();
 
@@ -468,7 +469,6 @@ class EpochSys {
   uint64_t crash_epoch_ = 0;  ///< clock value found at recover-construction
   std::atomic<uint64_t>* clock_;  ///< persistent epoch clock (a region root)
   std::unique_ptr<ThreadData[]> tds_;
-  Mindicator mind_;
   std::atomic<uint64_t>* uid_root_;  ///< persistent uid high-water mark
   /// Contention shield for concurrent advancers: held via try_lock only,
   /// never waited on unboundedly — a thread that cannot get it within a
@@ -490,6 +490,11 @@ class EpochSys {
   /// tracker/buffer scans in advance_epoch and sync.
   std::atomic<int> tid_hwm_{0};
   std::thread advancer_;
+  /// The advancer waits out each epoch of >= 1 ms on pace_cv_. stop_ and
+  /// advancer_kill_ are set under pace_mutex_ and notified, so a stop or a
+  /// kill wakes it at once instead of after the epoch.
+  std::mutex pace_mutex_;
+  std::condition_variable pace_cv_;
   std::atomic<bool> stop_{false};
   std::mutex advancer_mutex_;  ///< guards advancer_ start/stop
   std::atomic<bool> advancer_running_{false};

@@ -42,8 +42,6 @@ constexpr Meta kCounterMeta[kNumCounters] = {
     {"dcss.cas_verify_calls", "calls"},
     {"dcss.cas_verify_retries", "retries"},
     {"dcss.cas_verify_epoch_fails", "failures"},
-    {"mindicator.updates", "updates"},
-    {"mindicator.parks", "parks"},
     {"hazard.retired", "blocks"},
     {"hazard.reclaimed", "blocks"},
     {"hazard.orphaned", "blocks"},

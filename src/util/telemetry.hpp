@@ -12,7 +12,7 @@
 //    observes a torn, contended pair of process-wide atomics.
 //
 //  * The registry + trace — instrumentation recorded from EpochSys, DCSS,
-//    the mindicator, the hazard domain, Ralloc and nvm::Region. Compiled to
+//    the hazard domain, Ralloc and nvm::Region. Compiled to
 //    empty inlines when the CMake option MONTAGE_TELEMETRY is OFF
 //    (-DMONTAGE_TELEMETRY_DISABLED), so the kill switch has zero overhead;
 //    when compiled in, the record path is lock-free (per-thread padded slots,
@@ -120,8 +120,6 @@ enum class Ctr : uint32_t {
   kCasVerifyCalls,
   kCasVerifyRetries,
   kCasVerifyEpochFails,
-  kMindicatorUpdates,
-  kMindicatorParks,
   kHazardRetired,
   kHazardReclaimed,
   kHazardOrphaned,

@@ -289,19 +289,6 @@ TEST(EpochSys, ConcurrentSyncsAndOpsWithAdvancer) {
   EXPECT_EQ(survivors.size(), kThreads * kOps);
 }
 
-TEST(EpochSys, MindicatorReflectsUnpersistedWork) {
-  PersistentEnv env(64 << 20, no_advancer());
-  EpochSys* es = env.esys();
-  EXPECT_EQ(es->mindicator().min(), Mindicator::kIdle);
-  const uint64_t e = es->begin_op();
-  es->pnew<IntPayload>()->set_val(1);
-  es->end_op();
-  EXPECT_EQ(es->mindicator().min(), e);
-  es->advance_epoch();  // drains the ring for e at the advance ending e+1
-  es->advance_epoch();
-  EXPECT_EQ(es->mindicator().min(), Mindicator::kIdle);
-}
-
 TEST(EpochSys, TimedOutSyncNeverSealsAnOpenOperation) {
   // A sync that times out on a peer's open operation must not write back
   // that operation's payloads: the owner may still change their headers

@@ -1,5 +1,6 @@
 // Liveness under execution faults (DESIGN.md §8, §12): a thread parked
-// mid-op is adopted and the epoch clock keeps moving; a killed advancer
+// mid-op is adopted and the epoch clock keeps moving; an abort racing an
+// adoption rolls the op back exactly once; a killed advancer
 // costs nothing — workers tick the clock cooperatively and sync() drives
 // its own bounded advances; sync(deadline) returns instead of
 // hanging on a wedged peer; transient EIO is retried and, when it will not
@@ -94,6 +95,60 @@ TEST(ThreadFailure, OrphanAdoptionKeepsClockMoving) {
   for (uint64_t v = 0; v < 8; ++v) {
     EXPECT_EQ(vals.count(v), 1u) << "synced payload " << v << " lost";
   }
+}
+
+TEST(ThreadFailure, AbortRacingAdoptionRollsBackOnce) {
+  // Every op outlives the adoption deadline and then aborts, so the owner's
+  // abort_op and an advancer's adoption race for the same rollback. Exactly
+  // one of them may run it: a second rollback would count an adoption the
+  // owner never sees and drop the first one's reclamation entries.
+  EpochSys::Options o;
+  o.start_advancer = false;
+  o.op_deadline_ns = 100'000;  // 100 us
+  PersistentEnv env(64 << 20, o);
+  EpochSys* es = env.esys();
+  constexpr uint32_t kAbortedTag = kTag + 1;
+  constexpr int kOps = 2'000;
+
+  std::atomic<bool> done{false};
+  std::thread advancer([&] {
+    while (!done.load()) es->advance_epoch();
+  });
+  uint64_t seen_adopted = 0;
+  for (int i = 0; i < kOps; ++i) {
+    // Abort 0-15 us past the deadline (counted from just before begin_op),
+    // yielding so that an adopter sharing this CPU gets to run: either side
+    // may win each op.
+    const uint64_t abort_at =
+        util::now_ns() + o.op_deadline_ns + (i % 16) * 1'000;
+    es->begin_op();
+    try {
+      Payload* p = es->pnew<Payload>(i, 1);
+      p->set_blk_tag(kAbortedTag);
+    } catch (const OrphanedOperationException&) {
+      // Adoption won before the payload was registered.
+    }
+    while (util::now_ns() < abort_at) std::this_thread::yield();
+    es->abort_op();
+    if (es->last_op_adopted()) ++seen_adopted;
+  }
+  done.store(true);
+  advancer.join();
+  EXPECT_GT(seen_adopted, 0u) << "no adoption raced an abort";
+  EXPECT_EQ(es->adopted_op_count(), seen_adopted)
+      << "an adoption was counted that its owner never saw";
+
+  es->begin_op();
+  es->pnew<Payload>(kOps, 1)->set_blk_tag(kTag);
+  es->end_op();
+  es->sync();
+  std::size_t aborted = 0, committed = 0;
+  for (PBlk* b : env.crash_and_recover()) {
+    if (b->blk_tag() == kAbortedTag) ++aborted;
+    if (b->blk_tag() == kTag) ++committed;
+  }
+  EXPECT_EQ(aborted, 0u) << "an aborted op's payload survived the crash";
+  EXPECT_EQ(committed, 1u);
 }
 
 TEST(ThreadFailure, CooperativeTickAfterAdvancerKill) {
