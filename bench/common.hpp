@@ -97,8 +97,7 @@ inline void parse_args(int argc, char** argv) {
 }
 
 /// Print the telemetry registry as one JSON line (after the CSV rows) when
-/// --stats-json was requested. In MONTAGE_TELEMETRY=OFF builds the line is
-/// {"telemetry":0} so consumers can tell "no data" from "zero counts".
+/// --stats-json was requested.
 inline void emit_stats_json() {
   if (!stats_json_requested()) return;
   std::printf("%s\n", telemetry::stats_json().c_str());
@@ -174,7 +173,7 @@ class BenchEnv {
 
 /// Per-op latency samples aggregated into the telemetry bucket scheme
 /// (hist_bucket_of / hist_bucket_upper), so percentile extraction is shared
-/// with the registry histograms and works in telemetry-OFF builds too.
+/// with the registry histograms.
 struct LatencyStats {
   uint64_t count = 0;
   uint64_t sum_ns = 0;

@@ -21,8 +21,7 @@ using Val = util::InlineStr<1024>;
 
 /// This is the figure about sync() cost, so the Montage series also report
 /// the epoch-system sync-latency percentiles extracted from the telemetry
-/// histogram (no data in MONTAGE_TELEMETRY=OFF builds — the rows are simply
-/// absent there, like the per-op latency rows with sampling disabled).
+/// histogram (no rows while that histogram is empty).
 void emit_sync_percentiles(const std::string& name, const std::string& x) {
   for (const auto& h : telemetry::histograms_snapshot()) {
     if (std::string(h.name) != "epoch.sync_latency_ns" || h.count == 0) {

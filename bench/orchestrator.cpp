@@ -1,8 +1,8 @@
 // Bench orchestrator: runs a subset of the figure benches as subprocesses
 // and merges everything they report — CSV throughput/latency rows, the
 // --stats-json telemetry registry, hardware perf-counter readings taken by
-// attaching to each child, and an environment fingerprint (git SHA, Config
-// knobs, build flavour) — into one schema-versioned BENCH_<git-sha>.json.
+// attaching to each child, and an environment fingerprint (git SHA, host,
+// Config knobs) — into one schema-versioned BENCH_<git-sha>.json.
 //
 //   orchestrator --figures=4,9 --out=BENCH_test.json
 //   orchestrator --figures=all --csv=results/full_run.csv
@@ -207,7 +207,7 @@ BenchRun run_bench(const BenchSpec& spec, const std::string& dir) {
   return run;
 }
 
-/// The environment fingerprint object (git identity, knobs, build flavour).
+/// The environment fingerprint object (git identity, host, knobs).
 json::Value fingerprint(const Config& cfg) {
   json::Value fp(json::Value::Type::kObject);
   const std::string sha = capture_line("git rev-parse HEAD 2>/dev/null");
@@ -218,7 +218,6 @@ json::Value fingerprint(const Config& cfg) {
   char host[256] = "unknown";
   gethostname(host, sizeof host - 1);
   fp.set("hostname", json::Value::of(std::string(host)));
-  fp.set("telemetry_compiled", json::Value::of(telemetry::kEnabled));
 
   json::Value knobs(json::Value::Type::kObject);
   knobs.set("seconds", json::Value::of(cfg.seconds));

@@ -1,16 +1,16 @@
 #!/usr/bin/env bash
-# Sanitizer check: configure a dedicated build tree, build everything, and
-# run the test suite. MONTAGE_SANITIZE picks the sanitizer set (default
-# address,undefined); each set gets its own build tree. Pass extra ctest
-# args through, e.g.:
+# Sanitizer check: configure a dedicated build tree, build everything with
+# warnings as errors, and run the test suite. MONTAGE_SANITIZE picks the
+# sanitizer set (default address,undefined); each set gets its own build
+# tree. Pass extra ctest args through, e.g.:
 #   scripts/check.sh -L slow                   # only the slow label
 #   scripts/check.sh -L server_smoke           # the networked-server
 #                                              # envelope (also part of the
-#                                              # default and TSan suites)
+#                                              # default suite)
 #   scripts/check.sh -R Ralloc                 # a single suite
-#   MONTAGE_SANITIZE=thread scripts/check.sh   # TSan (races in the
-#                                              # advancer/watchdog/adoption
-#                                              # paths)
+#   MONTAGE_SANITIZE=thread scripts/check.sh   # every suite under TSan
+#                                              # (the TSan leg below runs
+#                                              # the ones that pass today)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -19,15 +19,13 @@ BUILD_DIR=${BUILD_DIR:-build-${SAN//,/-}}
 
 scripts/check_docs.sh
 
-cmake -B "$BUILD_DIR" -S . -DMONTAGE_SANITIZE="$SAN"
+cmake -B "$BUILD_DIR" -S . -DMONTAGE_SANITIZE="$SAN" -DCMAKE_CXX_FLAGS=-Werror
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" "$@"
 
 # Live-scrape leg (DESIGN.md §14): boot the real server with the admin plane
 # on an ephemeral port, fetch /metrics over plain TCP, and validate the body
-# with the same strict parser the unit tests link (metrics_lint). Run against
-# the telemetry-OFF tree too: with the registry compiled out the endpoint
-# must still serve a minimal, parser-valid payload.
+# with the same strict parser the unit tests link (metrics_lint).
 scrape_metrics() {
   local tree=$1 label=$2
   local tmp pid admin_port
@@ -55,28 +53,17 @@ scrape_metrics() {
 }
 scrape_metrics "$BUILD_DIR" "sanitized"
 
-# Kill-switch leg: telemetry compiled out must still build everything and
-# pass its own tests (the instrumented call sites become empty inlines).
-# The server suites run here too: `stats` and the shed/stall accounting are
-# built on ShardedCounter, which must keep working with telemetry off.
-OFF_DIR=build-telemetry-off
-cmake -B "$OFF_DIR" -S . -DMONTAGE_TELEMETRY=OFF
-cmake --build "$OFF_DIR" -j "$(nproc)"
-ctest --test-dir "$OFF_DIR" --output-on-failure -j "$(nproc)" \
-  -R "Telemetry|ShardedCounter|Region|EpochSys\.|PerfCounters|ServerConfig|Protocol|ServerSmoke|EpochParam|Promexpo|RateWindow|Log" \
+# TSan leg: the build that ships (telemetry compiled in, as always), with
+# every suite TSan passes today: the liveness/pacing paths, DCSS, the
+# baselines, the epoch system, the hazard domain and the registry's record
+# path. Suites that still trip the payload-header race (ROADMAP item 3)
+# join when it is fixed.
+TSAN_DIR=build-thread
+cmake -B "$TSAN_DIR" -S . -DMONTAGE_SANITIZE=thread -DCMAKE_CXX_FLAGS=-Werror
+cmake --build "$TSAN_DIR" -j "$(nproc)"
+ctest --test-dir "$TSAN_DIR" --output-on-failure -j "$(nproc)" \
+  -R "ThreadFailure|CooperativeWatchdog|Dcss|Baseline|EpochSys\.|Hazard|Telemetry|ShardedCounter" \
   "$@"
-scrape_metrics "$OFF_DIR" "telemetry-off"
-
-# Cooperative-advance leg: the advancer-free tick path is the raciest code
-# in the tree (any thread may CAS the clock while helping peers' write-
-# backs), and the telemetry kill-switch changes which code is compiled in.
-# Build it under TSan WITH telemetry off and run the liveness/pacing
-# suites, so a race hiding behind counter call sites can't slip through.
-COOP_DIR=build-thread-telemetry-off
-cmake -B "$COOP_DIR" -S . -DMONTAGE_SANITIZE=thread -DMONTAGE_TELEMETRY=OFF
-cmake --build "$COOP_DIR" -j "$(nproc)"
-ctest --test-dir "$COOP_DIR" --output-on-failure -j "$(nproc)" \
-  -R "ThreadFailure|CooperativeWatchdog" "$@"
 
 # Smoke-perf leg (opt in with MONTAGE_SMOKE_PERF=1): a tiny un-sanitized
 # orchestrator run gated against the committed baseline. The threshold is

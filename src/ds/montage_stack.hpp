@@ -49,10 +49,16 @@ class MontageStack : public Recoverable {
     // Owned until the CAS links it in, so an exception escaping the op
     // (e.g. an injected crash) cannot leak the transient node.
     auto node = std::make_unique<Node>();
+    auto& hd = util::HazardDomain::global();
     while (true) {
       try {
         esys_->begin_op();
-        Node* h = head_.load();
+        // Reading h->sn needs a hazard: a concurrent pop may retire h.
+        Node* h = static_cast<Node*>(hd.protect(0, head_.load()));
+        if (h != head_.load()) {  // re-validate under the hazard
+          esys_->end_op();
+          continue;
+        }
         // The serial number orders the abstract stack bottom-to-top; it is
         // derived from the head we CAS against, so a successful cas_verify
         // makes it consistent.
@@ -62,7 +68,9 @@ class MontageStack : public Recoverable {
         node->payload = p;
         node->sn = sn;
         node->next = h;
-        if (head_.cas_verify(esys_, h, node.get())) {
+        const bool linked = head_.cas_verify(esys_, h, node.get());
+        hd.clear(0);
+        if (linked) {
           node.release();
           esys_->end_op();
           return;
@@ -79,6 +87,7 @@ class MontageStack : public Recoverable {
         // commit. Roll back so the structure (and this thread's epoch slot)
         // stays consistent, then surface the fault.
         esys_->abort_op();
+        hd.clear(0);
         throw;
       }
     }

@@ -785,8 +785,7 @@ bool EpochSys::try_advance_epoch(uint64_t abs_deadline_ns) {
   if (opts_.transient) return true;
   // Advance latency is measured from entry (gate and shield waits included —
   // contention IS part of what a slow clock feels like).
-  uint64_t t0 = 0;
-  if constexpr (telemetry::kEnabled) t0 = util::now_ns();
+  const uint64_t t0 = util::now_ns();
   const uint64_t e_entry = clock_->load(std::memory_order_acquire);
 
   // Recovery gate: recover() freezes the durable clock by blocking new
@@ -872,17 +871,14 @@ bool EpochSys::try_advance_epoch(uint64_t abs_deadline_ns) {
   persist_clock(e + 1);
   last_tick_ns_.store(util::now_ns(), std::memory_order_relaxed);
   if (won) {
-    if constexpr (telemetry::kEnabled) {
-      telemetry::count(telemetry::Ctr::kEpochAdvances);
-      if (!tls_is_advancer) {
-        telemetry::count(telemetry::Ctr::kCooperativeAdvances);
-      }
-      telemetry::count(telemetry::Ctr::kWbBoundary, drained);
-      telemetry::observe(telemetry::Hist::kAdvanceLatency,
-                         util::now_ns() - t0);
-      telemetry::observe(telemetry::Hist::kDrainBatch, drained);
-      telemetry::observe(telemetry::Hist::kReclaimBatch, reclaimed);
+    telemetry::count(telemetry::Ctr::kEpochAdvances);
+    if (!tls_is_advancer) {
+      telemetry::count(telemetry::Ctr::kCooperativeAdvances);
     }
+    telemetry::count(telemetry::Ctr::kWbBoundary, drained);
+    telemetry::observe(telemetry::Hist::kAdvanceLatency, util::now_ns() - t0);
+    telemetry::observe(telemetry::Hist::kDrainBatch, drained);
+    telemetry::observe(telemetry::Hist::kReclaimBatch, reclaimed);
     telemetry::trace(telemetry::Ev::kEpochAdvance, e + 1, drained);
   }
   return true;
@@ -905,11 +901,9 @@ bool EpochSys::sync_for(uint64_t deadline_ns) {
   if (opts_.transient) return true;
   assert(!my_td().in_op && "sync() may not be called inside an operation");
   telemetry::count(telemetry::Ctr::kSyncCalls);
-  uint64_t t0 = 0;
-  if constexpr (telemetry::kEnabled) t0 = util::now_ns();
-  const uint64_t abs_deadline = deadline_ns == kNoDeadline
-                                    ? kNoDeadline
-                                    : util::now_ns() + deadline_ns;
+  const uint64_t t0 = util::now_ns();
+  const uint64_t abs_deadline =
+      deadline_ns == kNoDeadline ? kNoDeadline : t0 + deadline_ns;
   syncs_pending_.fetch_add(1, std::memory_order_relaxed);
   struct PendingGuard {  // exception-safe: PersistError must not leak a count
     std::atomic<int>* c;
@@ -937,10 +931,7 @@ bool EpochSys::sync_for(uint64_t deadline_ns) {
   while (clock_->load(std::memory_order_acquire) < target + 2) {
     if (!try_advance_epoch(abs_deadline)) {
       telemetry::count(telemetry::Ctr::kSyncTimeouts);
-      if constexpr (telemetry::kEnabled) {
-        telemetry::observe(telemetry::Hist::kSyncLatency,
-                           util::now_ns() - t0);
-      }
+      telemetry::observe(telemetry::Hist::kSyncLatency, util::now_ns() - t0);
       return false;
     }
     ++advances;
@@ -958,9 +949,7 @@ bool EpochSys::sync_for(uint64_t deadline_ns) {
   } else {
     telemetry::trace(telemetry::Ev::kSyncSlow, advances);
   }
-  if constexpr (telemetry::kEnabled) {
-    telemetry::observe(telemetry::Hist::kSyncLatency, util::now_ns() - t0);
-  }
+  telemetry::observe(telemetry::Hist::kSyncLatency, util::now_ns() - t0);
   return true;
 }
 

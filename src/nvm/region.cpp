@@ -271,7 +271,7 @@ void Region::reset_stats() {
 void Region::dump_trace_annex() {
   char buf[kTraceAnnexSize];
   const std::size_t n = telemetry::trace_serialize(buf, kTraceAnnexSize);
-  if (n == 0) return;  // tracing off/empty or telemetry compiled out
+  if (n == 0) return;  // tracing off or empty
   std::memcpy(base_ + kTraceAnnexOffset, buf, n);
   if (opts_.mode == PersistMode::kTracked) {
     // Commit the annex lines straight to the crash shadow, bypassing

@@ -229,7 +229,7 @@ class Region {
   /// are committed straight to the crash shadow — emulating the eADR-style
   /// flush-on-power-fail window — WITHOUT counting persistence events, so
   /// crash-schedule numbering is unchanged. Called automatically when an
-  /// armed crash fires; no-op when tracing is off or compiled out.
+  /// armed crash fires; no-op when tracing is off.
   void dump_trace_annex();
 
   /// Deserialize the annex left by a pre-crash dump_trace_annex(); empty if

@@ -335,13 +335,11 @@ void KvServer::accept_ready() {
       [[maybe_unused]] ssize_t r =
           ::send(fd, kBusy, sizeof(kBusy) - 1, MSG_NOSIGNAL | MSG_DONTWAIT);
       ::close(fd);
-      stats_.conns_shed.add();
       telemetry::count(telemetry::Ctr::kSrvConnsShed);
       continue;
     }
     set_nodelay(fd);
     conn_count_.fetch_add(1, std::memory_order_relaxed);
-    stats_.conns_accepted.add();
     telemetry::count(telemetry::Ctr::kSrvConnsAccepted);
     Worker& w = *workers_[next_worker_++ % workers_.size()];
     {
@@ -393,8 +391,6 @@ void KvServer::syncer_loop() {
       continue;
     }
     if (!synced) continue;  // timed out on a wedged peer: retry next interval
-    stats_.sync_batches.add();
-    stats_.sync_path_syncer.add();
     telemetry::count(telemetry::Ctr::kSrvSyncBatches);
     telemetry::count(telemetry::Ctr::kSrvSyncPathSyncer);
     for (auto& w : workers_) w->ring();  // frontier moved: release ACKs
@@ -431,8 +427,6 @@ void KvServer::maybe_help_sync(Worker& w) {
     return;
   }
   if (!synced) return;
-  stats_.sync_batches.add();
-  stats_.sync_path_caller.add();
   telemetry::count(telemetry::Ctr::kSrvSyncBatches);
   telemetry::count(telemetry::Ctr::kSrvSyncPathCaller);
 }
@@ -591,7 +585,6 @@ void KvServer::handle_readable(Worker& w, Conn& c) {
       break;
     }
     off += r.consumed;
-    stats_.requests.add();
     telemetry::count(telemetry::Ctr::kSrvRequests);
     if (r.status == ParseStatus::kBadLine) {
       enqueue(w, c, r.error, 0, /*noreply=*/false);
@@ -633,7 +626,6 @@ void KvServer::handle_request(Worker& w, Conn& c, const Request& req) {
   const uint64_t khash = req.keys.empty() ? 0 : key_hash64(req.keys[0]);
   if (cfg_.max_inflight != 0 && req.verb != Verb::kQuit &&
       w.inflight.load(std::memory_order_relaxed) >= cfg_.max_inflight) {
-    stats_.requests_shed.add();
     telemetry::count(telemetry::Ctr::kSrvRequestsShed);
     enqueue(w, c, "SERVER_ERROR overloaded\r\n", 0, req.noreply);
     return;
@@ -790,7 +782,6 @@ void KvServer::release_and_flush(Worker& w, Conn& c) {
   const std::size_t buffered = (c.out.size() - c.out_off) + c.pending_bytes;
   if (!c.paused && buffered > cfg_.write_buf_max) {
     c.paused = true;
-    stats_.backpressure.add();
     telemetry::count(telemetry::Ctr::kSrvBackpressure);
   } else if (c.paused && buffered < cfg_.write_buf_max / 2 &&
              !draining_.load(std::memory_order_relaxed)) {
@@ -851,14 +842,12 @@ void KvServer::scan_timeouts(Worker& w, uint64_t now_ns) {
       // The peer stopped draining its responses: a slow-reader attack or a
       // dead client. Cut it loose rather than hold buffers hostage.
       c->dead = true;
-      stats_.stall_closed.add();
       telemetry::count(telemetry::Ctr::kSrvStallClosed);
       continue;
     }
     if (idle_ns != 0 && !output_pending && !c->close_after_flush &&
         now_ns - c->last_read_ns > idle_ns) {
       c->dead = true;
-      stats_.idle_closed.add();
       telemetry::count(telemetry::Ctr::kSrvIdleClosed);
     }
   }
@@ -875,10 +864,12 @@ void KvServer::close_conn(Worker& w, Conn& c) {
 
 std::string KvServer::stats_payload() {
   const auto cs = cache_->stats();
-  // One coherent pass over the sharded counters: every row below comes from
-  // the same ServerStats::Snapshot, not from live reads interleaved with
-  // concurrent increments.
-  const ServerStats::Snapshot ss = stats_.snapshot();
+  // Every server row below comes from one pass over the registry, not from
+  // live reads interleaved with concurrent increments.
+  const auto reg = telemetry::counters_snapshot();
+  auto ctr = [&reg](telemetry::Ctr c) {
+    return telemetry::counter_value(reg, c);
+  };
   std::string out;
   auto stat = [&out](const char* k, uint64_t v) {
     out += "STAT ";
@@ -888,17 +879,17 @@ std::string KvServer::stats_payload() {
     out += "\r\n";
   };
   stat("curr_connections", conn_count_.load(std::memory_order_relaxed));
-  stat("total_connections", ss.conns_accepted);
-  stat("connections_shed", ss.conns_shed);
-  stat("cmd_requests", ss.requests);
-  stat("requests_shed", ss.requests_shed);
-  stat("idle_closed", ss.idle_closed);
-  stat("stall_closed", ss.stall_closed);
-  stat("backpressure_pauses", ss.backpressure);
-  stat("sync_batches", ss.sync_batches);
-  stat("sync_path_syncer", ss.sync_path_syncer);
-  stat("sync_path_caller", ss.sync_path_caller);
-  stat("slow_ops", ss.slow_ops);
+  stat("total_connections", ctr(telemetry::Ctr::kSrvConnsAccepted));
+  stat("connections_shed", ctr(telemetry::Ctr::kSrvConnsShed));
+  stat("cmd_requests", ctr(telemetry::Ctr::kSrvRequests));
+  stat("requests_shed", ctr(telemetry::Ctr::kSrvRequestsShed));
+  stat("idle_closed", ctr(telemetry::Ctr::kSrvIdleClosed));
+  stat("stall_closed", ctr(telemetry::Ctr::kSrvStallClosed));
+  stat("backpressure_pauses", ctr(telemetry::Ctr::kSrvBackpressure));
+  stat("sync_batches", ctr(telemetry::Ctr::kSrvSyncBatches));
+  stat("sync_path_syncer", ctr(telemetry::Ctr::kSrvSyncPathSyncer));
+  stat("sync_path_caller", ctr(telemetry::Ctr::kSrvSyncPathCaller));
+  stat("slow_ops", ctr(telemetry::Ctr::kSrvSlowOps));
   stat("get_hits", cs.hits);
   stat("get_misses", cs.misses);
   stat("evictions", cs.evictions);
@@ -906,7 +897,7 @@ std::string KvServer::stats_payload() {
   stat("epoch_current", esys_->current_epoch());
   stat("epoch_persisted", esys_->persisted_frontier());
   // Persistence cost-model rows: raw line/fence traffic from the region's
-  // always-on sharded counters.
+  // own sharded counters.
   const auto rs = esys_->ralloc()->region()->stats();
   stat("nvm_lines_flushed", rs.lines_flushed);
   stat("nvm_fences", rs.fences);
@@ -917,14 +908,12 @@ std::string KvServer::stats_payload() {
 // `stats montage`: the telemetry registry over the plain memcached protocol,
 // so epoch/persistence counters are readable without the admin port. Dotted
 // registry names are used verbatim as STAT keys; histograms surface as
-// _count/_sum/_p50/_p99 rows. Works in MONTAGE_TELEMETRY=OFF builds too:
-// the always-available server counters and region totals still show.
+// _count/_sum/_p50/_p99 rows.
 std::string KvServer::montage_stats_payload() {
   std::string out;
   auto stat = [&out](const std::string& k, uint64_t v) {
     out += "STAT " + k + ' ' + std::to_string(v) + "\r\n";
   };
-  stat("telemetry", telemetry::kEnabled ? 1 : 0);
   stat("epoch_current", esys_->current_epoch());
   stat("epoch_persisted", esys_->persisted_frontier());
   const auto rs = esys_->ralloc()->region()->stats();
@@ -946,16 +935,6 @@ std::string KvServer::montage_stats_payload() {
     stat(std::string(h.name) + "_p50", p.p50);
     stat(std::string(h.name) + "_p99", p.p99);
   }
-  if (!telemetry::kEnabled) {
-    // Registry compiled out: surface the sharded server counters under their
-    // registry names so the command keeps one schema across build flavours.
-    const ServerStats::Snapshot ss = stats_.snapshot();
-    stat("server.connections_accepted", ss.conns_accepted);
-    stat("server.requests", ss.requests);
-    stat("server.sync_batches", ss.sync_batches);
-    stat("server.slow_ops", ss.slow_ops);
-    stat("server.admin_requests", ss.admin_requests);
-  }
   out += "END\r\n";
   return out;
 }
@@ -964,7 +943,6 @@ std::string KvServer::montage_stats_payload() {
 
 void KvServer::record_slow_op(const PendingResp& p, uint64_t lat_ns,
                               uint64_t frontier) {
-  stats_.slow_ops.add();
   telemetry::count(telemetry::Ctr::kSrvSlowOps);
   const uint64_t ack_epoch = esys_->current_epoch();
   // Exactly one structured line per slow op, from the release point: the
@@ -1085,7 +1063,6 @@ void KvServer::admin_io(AdminConn& a) {
 }
 
 void KvServer::admin_handle(AdminConn& a) {
-  stats_.admin_requests.add();
   telemetry::count(telemetry::Ctr::kSrvAdminRequests);
   // Request line: METHOD SP path SP version. Anything malformed is a 400;
   // the body builders below are the only dynamic part.
@@ -1156,22 +1133,6 @@ void KvServer::admin_flush(AdminConn& a) {
 
 std::string KvServer::metrics_payload() {
   const promexpo::Snapshot snap = promexpo::capture(util::now_ns());
-  std::vector<promexpo::CounterRow> extra;
-  if (!telemetry::kEnabled) {
-    // Registry compiled out: the scrape still gets real counter families
-    // from the always-available sharded server counters.
-    const ServerStats::Snapshot ss = stats_.snapshot();
-    extra.push_back({"server.connections_accepted",
-                     "connections accepted by the server", ss.conns_accepted});
-    extra.push_back({"server.requests", "protocol requests parsed",
-                     ss.requests});
-    extra.push_back({"server.sync_batches",
-                     "ack batches released behind one sync", ss.sync_batches});
-    extra.push_back({"server.slow_ops", "requests over the slow-op threshold",
-                     ss.slow_ops});
-    extra.push_back({"server.admin_requests", "admin HTTP requests served",
-                     ss.admin_requests});
-  }
   std::vector<promexpo::GaugeRow> gauges;
   gauges.push_back({"server.curr_connections", "open client connections",
                     static_cast<double>(
@@ -1188,11 +1149,14 @@ std::string KvServer::metrics_payload() {
                       static_cast<double>(g.value)});
   }
   std::lock_guard lk(window_m_);
-  return promexpo::render(snap, extra, gauges, &window_);
+  return promexpo::render(snap, gauges, &window_);
 }
 
 std::string KvServer::varz_payload() {
-  const ServerStats::Snapshot ss = stats_.snapshot();
+  const auto reg = telemetry::counters_snapshot();
+  auto ctr = [&reg](telemetry::Ctr c) {
+    return telemetry::counter_value(reg, c);
+  };
   std::string out;
   out.reserve(8192);
   char buf[256];
@@ -1212,18 +1176,18 @@ std::string KvServer::varz_payload() {
     out += std::to_string(v);
     out += last ? "" : ",";
   };
-  row("connections_accepted", ss.conns_accepted);
-  row("connections_shed", ss.conns_shed);
-  row("requests", ss.requests);
-  row("requests_shed", ss.requests_shed);
-  row("idle_closed", ss.idle_closed);
-  row("stall_closed", ss.stall_closed);
-  row("backpressure_pauses", ss.backpressure);
-  row("sync_batches", ss.sync_batches);
-  row("sync_path_syncer", ss.sync_path_syncer);
-  row("sync_path_caller", ss.sync_path_caller);
-  row("slow_ops", ss.slow_ops);
-  row("admin_requests", ss.admin_requests);
+  row("connections_accepted", ctr(telemetry::Ctr::kSrvConnsAccepted));
+  row("connections_shed", ctr(telemetry::Ctr::kSrvConnsShed));
+  row("requests", ctr(telemetry::Ctr::kSrvRequests));
+  row("requests_shed", ctr(telemetry::Ctr::kSrvRequestsShed));
+  row("idle_closed", ctr(telemetry::Ctr::kSrvIdleClosed));
+  row("stall_closed", ctr(telemetry::Ctr::kSrvStallClosed));
+  row("backpressure_pauses", ctr(telemetry::Ctr::kSrvBackpressure));
+  row("sync_batches", ctr(telemetry::Ctr::kSrvSyncBatches));
+  row("sync_path_syncer", ctr(telemetry::Ctr::kSrvSyncPathSyncer));
+  row("sync_path_caller", ctr(telemetry::Ctr::kSrvSyncPathCaller));
+  row("slow_ops", ctr(telemetry::Ctr::kSrvSlowOps));
+  row("admin_requests", ctr(telemetry::Ctr::kSrvAdminRequests));
   row("epoch_current", esys_->current_epoch());
   row("epoch_persisted", esys_->persisted_frontier(), /*last=*/true);
   out += "},\"slow_ops\":[";

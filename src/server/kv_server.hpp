@@ -54,53 +54,6 @@ namespace montage::server {
 /// ordinary failures.
 inline constexpr int kCrashExitCode = 42;
 
-/// Always-available server counters (telemetry::ShardedCounter, so the
-/// `stats` protocol command works even in MONTAGE_TELEMETRY=OFF builds);
-/// each is mirrored into the telemetry registry when that is compiled in.
-struct ServerStats {
-  telemetry::ShardedCounter conns_accepted;   ///< connections accepted
-  telemetry::ShardedCounter conns_shed;       ///< refused at accept (busy)
-  telemetry::ShardedCounter requests;         ///< protocol requests parsed
-  telemetry::ShardedCounter requests_shed;    ///< answered SERVER_ERROR overloaded
-  telemetry::ShardedCounter idle_closed;      ///< closed by the idle timeout
-  telemetry::ShardedCounter stall_closed;     ///< closed by the write-stall timeout
-  telemetry::ShardedCounter backpressure;     ///< reads paused on full output
-  telemetry::ShardedCounter sync_batches;     ///< batched acks released by one sync
-  telemetry::ShardedCounter sync_path_syncer; ///< syncs run by the syncer thread
-  telemetry::ShardedCounter sync_path_caller; ///< syncs run by a helping worker
-  telemetry::ShardedCounter slow_ops;         ///< requests over the slow-op bar
-  telemetry::ShardedCounter admin_requests;   ///< admin HTTP requests served
-
-  /// One coherent sample of every counter, in plain integers. The `stats`
-  /// payload and /varz are built from a single snapshot() call instead of
-  /// reading the live counters one by one mid-update, so the rows in one
-  /// response can never disagree by more than one concurrent increment.
-  struct Snapshot {
-    uint64_t conns_accepted;    ///< connections accepted
-    uint64_t conns_shed;        ///< refused at accept (busy)
-    uint64_t requests;          ///< protocol requests parsed
-    uint64_t requests_shed;     ///< answered SERVER_ERROR overloaded
-    uint64_t idle_closed;       ///< closed by the idle timeout
-    uint64_t stall_closed;      ///< closed by the write-stall timeout
-    uint64_t backpressure;      ///< reads paused on full output
-    uint64_t sync_batches;      ///< batched acks released by one sync
-    uint64_t sync_path_syncer;  ///< syncs run by the syncer thread
-    uint64_t sync_path_caller;  ///< syncs run by a helping worker
-    uint64_t slow_ops;          ///< requests over the slow-op bar
-    uint64_t admin_requests;    ///< admin HTTP requests served
-  };
-
-  /// Aggregate every counter once, in declaration order.
-  Snapshot snapshot() const {
-    return Snapshot{conns_accepted.read(), conns_shed.read(), requests.read(),
-                    requests_shed.read(), idle_closed.read(),
-                    stall_closed.read(), backpressure.read(),
-                    sync_batches.read(), sync_path_syncer.read(),
-                    sync_path_caller.read(), slow_ops.read(),
-                    admin_requests.read()};
-  }
-};
-
 /// The epoll server. Construction binds and listens (so port() is valid
 /// immediately, including kernel-assigned ephemeral ports); run() blocks on
 /// the calling thread until a drain completes.
@@ -129,9 +82,6 @@ class KvServer {
   /// Request a graceful drain; async-signal-safe (one eventfd write), so a
   /// SIGTERM handler may call it directly.
   void request_drain();
-
-  /// Live server counters (`stats` protocol command reads the same data).
-  const ServerStats& stats() const { return stats_; }
 
   /// Wall time the drain took, in ns; 0 until a drain has completed.
   uint64_t drain_latency_ns() const {
@@ -183,7 +133,6 @@ class KvServer {
   ServerConfig cfg_;
   kvstore::MontageMemCache* cache_;
   EpochSys* esys_;
-  ServerStats stats_;
 
   int listen_fd_ = -1;
   int drain_efd_ = -1;

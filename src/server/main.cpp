@@ -44,6 +44,7 @@
 #include "server/kv_server.hpp"
 #include "util/env.hpp"
 #include "util/log.hpp"
+#include "util/telemetry.hpp"
 
 namespace {
 
@@ -162,10 +163,13 @@ int main(int argc, char** argv) {
     srv.run();  // blocks until the SIGTERM drain completes
     g_server = nullptr;
 
+    const auto reg = telemetry::counters_snapshot();
     util::log::info("drained")
         .field("latency_ms", srv.drain_latency_ns() / 1e6)
-        .field("requests", srv.stats().requests.read())
-        .field("shed", srv.stats().requests_shed.read());
+        .field("requests",
+               telemetry::counter_value(reg, telemetry::Ctr::kSrvRequests))
+        .field("shed", telemetry::counter_value(
+                           reg, telemetry::Ctr::kSrvRequestsShed));
 
     // Clean region close: everything released was already durable (the drain
     // ended with a final sync); tear down in construction order.

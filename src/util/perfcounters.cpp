@@ -236,11 +236,10 @@ std::vector<int> PerfGroup::register_telemetry_gauges() const {
   for (int i = 0; i < kNumPerfEvents; ++i) {
     if (fds_[i] == -1) continue;
     const PerfEvent e = static_cast<PerfEvent>(i);
-    const int id = telemetry::register_gauge(
+    ids.push_back(telemetry::register_gauge(
         std::string("perf.") + kEventNames[i],
         e == PerfEvent::kTaskClockNs ? "ns" : "events",
-        [this, e] { return read().get(e).value; });
-    if (id >= 0) ids.push_back(id);
+        [this, e] { return read().get(e).value; }));
   }
   return ids;
 }

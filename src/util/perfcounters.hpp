@@ -111,8 +111,8 @@ class PerfGroup {
   PerfReading read() const;
 
   /// Register one telemetry gauge per *open* counter ("perf.cycles", ...)
-  /// sampled at dump time; returns the gauge ids (empty when unavailable or
-  /// telemetry is compiled out). The group must outlive the registration;
+  /// sampled at dump time; returns the gauge ids (empty when unavailable).
+  /// The group must outlive the registration;
   /// pass the ids to unregister_perf_gauges before destroying it.
   std::vector<int> register_telemetry_gauges() const;
 

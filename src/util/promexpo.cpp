@@ -66,12 +66,6 @@ std::string counter_family(std::string_view dotted) {
   return fam;
 }
 
-void render_counter(std::string& out, const std::string& fam,
-                    const char* help, uint64_t value) {
-  appendf(out, "# HELP %s %s\n# TYPE %s counter\n%s %" PRIu64 "\n",
-          fam.c_str(), help, fam.c_str(), fam.c_str(), value);
-}
-
 void render_histogram(std::string& out, const telemetry::HistogramValue& h) {
   const std::string fam = metric_name(h.name);
   appendf(out, "# HELP %s montage histogram %s (%s)\n# TYPE %s histogram\n",
@@ -169,29 +163,20 @@ uint64_t RateWindow::window_percentile(std::string_view name, double q) const {
   return telemetry::hist_percentile(delta, q);
 }
 
-std::string render(const Snapshot& snap,
-                   const std::vector<CounterRow>& extra_counters,
-                   const std::vector<GaugeRow>& gauges,
+std::string render(const Snapshot& snap, const std::vector<GaugeRow>& gauges,
                    const RateWindow* window) {
   std::string out;
   out.reserve(16384);
   appendf(out,
           "# HELP montage_up whether the montage process is serving\n"
           "# TYPE montage_up gauge\nmontage_up 1\n");
-  appendf(out,
-          "# HELP montage_telemetry_enabled whether the telemetry registry "
-          "is compiled in\n"
-          "# TYPE montage_telemetry_enabled gauge\n"
-          "montage_telemetry_enabled %d\n",
-          telemetry::kEnabled ? 1 : 0);
   for (const auto& c : snap.counters) {
-    char help[192];
-    std::snprintf(help, sizeof help, "montage counter %s (%s)",
-                  escape_label(c.name).c_str(), c.unit);
-    render_counter(out, counter_family(c.name), help, c.value);
-  }
-  for (const auto& c : extra_counters) {
-    render_counter(out, counter_family(c.name), c.help.c_str(), c.value);
+    const std::string fam = counter_family(c.name);
+    appendf(out,
+            "# HELP %s montage counter %s (%s)\n# TYPE %s counter\n%s %" PRIu64
+            "\n",
+            fam.c_str(), escape_label(c.name).c_str(), c.unit, fam.c_str(),
+            fam.c_str(), c.value);
   }
   for (const auto& g : gauges) {
     const std::string fam = metric_name(g.name);

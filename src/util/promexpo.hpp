@@ -47,9 +47,7 @@ struct Snapshot {
   std::vector<telemetry::HistogramValue> hists;   ///< catalog order
 };
 
-/// Capture the registry now, stamped with `t_ns`. Empty vectors when
-/// telemetry is compiled out (the renderer then emits only the build/extra
-/// rows — the endpoints still serve a valid minimal payload).
+/// Capture the registry now, stamped with `t_ns`.
 Snapshot capture(uint64_t t_ns);
 
 /// An extra gauge row supplied by the embedding process (dotted name, same
@@ -58,14 +56,6 @@ struct GaugeRow {
   std::string name;   ///< dotted, e.g. "server.curr_connections"
   std::string help;   ///< HELP text (plain words, no newlines)
   double value;       ///< sampled value
-};
-
-/// An extra counter row — the telemetry-OFF server uses these to surface its
-/// always-available ShardedCounter stats as proper counter families.
-struct CounterRow {
-  std::string name;   ///< dotted, e.g. "server.requests"
-  std::string help;   ///< HELP text
-  uint64_t value;     ///< monotone total
 };
 
 /// Number of snapshots a default-constructed RateWindow retains.
@@ -111,14 +101,11 @@ class RateWindow {
 std::string metric_name(std::string_view dotted);
 
 /// Render the full exposition: registry counters as `montage_*_total`,
-/// extra counters likewise, gauges as gauges, histograms as cumulative
-/// `_bucket`/`_sum`/`_count` families, and — when `window` is non-null and
-/// ready — the windowed rate/quantile families described above. Always
-/// includes `montage_up 1` and `montage_telemetry_enabled`. The result
-/// passes lint().
-std::string render(const Snapshot& snap,
-                   const std::vector<CounterRow>& extra_counters,
-                   const std::vector<GaugeRow>& gauges,
+/// gauges as gauges, histograms as cumulative `_bucket`/`_sum`/`_count`
+/// families, and — when `window` is non-null and ready — the windowed
+/// rate/quantile families described above. Always includes `montage_up 1`.
+/// The result passes lint().
+std::string render(const Snapshot& snap, const std::vector<GaugeRow>& gauges,
                    const RateWindow* window);
 
 /// Strict validator of a text-exposition payload. Returns the empty string

@@ -175,8 +175,6 @@ Percentiles hist_percentiles(const HistogramValue& hv) {
                      hist_percentile(hv, 0.99), hist_percentile(hv, 0.999)};
 }
 
-#if MONTAGE_TELEMETRY_ENABLED
-
 namespace detail {
 
 ThreadSlots g_slots[util::ThreadIdPool::kMaxThreads];
@@ -508,52 +506,5 @@ std::vector<GaugeValue> gauges_snapshot() {
   }
   return out;
 }
-
-#else  // MONTAGE_TELEMETRY_ENABLED
-
-// Kill-switch build: the registry is compiled out; these keep the call sites
-// (benches, Region, tests) link-compatible without their own #ifs.
-
-void trace_configure(uint64_t) {}
-void trace_reset() {}
-std::vector<TraceEvent> trace_snapshot() { return {}; }
-void trace_restore(const std::vector<TraceEvent>&) {}
-std::size_t trace_serialize(char*, std::size_t) { return 0; }
-std::vector<TraceEvent> trace_deserialize(const char*, std::size_t) {
-  return {};
-}
-
-void init_from_env() {
-  // Knob values stay strictly validated even when telemetry is compiled out,
-  // so a malformed knob never changes meaning across build flavours.
-  (void)util::env_u64_checked("MONTAGE_TRACE", 0);
-  const uint64_t stats = util::env_u64_checked("MONTAGE_STATS", 0);
-  if (stats > 2) {
-    throw std::invalid_argument(
-        "MONTAGE_STATS=" + std::to_string(stats) +
-        ": expected 0 (off), 1 (text at exit), 2 (json at exit)");
-  }
-}
-
-int register_gauge(const std::string&, const std::string&,
-                   std::function<uint64_t()>) {
-  return -1;
-}
-void unregister_gauge(int) {}
-
-std::vector<CounterValue> counters_snapshot() { return {}; }
-std::vector<HistogramValue> histograms_snapshot() { return {}; }
-std::vector<GaugeValue> gauges_snapshot() { return {}; }
-void reset_metrics() {}
-
-void dump_text(std::FILE* out) {
-  std::fprintf(out, "== montage telemetry: compiled out ==\n");
-}
-std::string stats_json() { return "{\"telemetry\":0}"; }
-void dump_json(std::FILE* out) {
-  std::fprintf(out, "%s\n", stats_json().c_str());
-}
-
-#endif  // MONTAGE_TELEMETRY_ENABLED
 
 }  // namespace montage::telemetry

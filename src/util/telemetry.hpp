@@ -5,18 +5,15 @@
 //
 // Two layers with different lifetimes:
 //
-//  * ShardedCounter — an always-available primitive (compiled regardless of
-//    the kill switch): one cache-line-padded slot per thread, relaxed
-//    increments on the owner's slot, aggregate-on-read. nvm::Region's
-//    flush/fence statistics are built on it so a stats() snapshot never
-//    observes a torn, contended pair of process-wide atomics.
+//  * ShardedCounter — a per-instance counter: one cache-line-padded slot per
+//    thread, relaxed increments on the owner's slot, aggregate-on-read.
+//    nvm::Region's per-region flush/fence statistics are built on it so a
+//    stats() snapshot never observes a torn, contended pair of atomics.
 //
-//  * The registry + trace — instrumentation recorded from EpochSys, DCSS,
-//    the hazard domain, Ralloc and nvm::Region. Compiled to
-//    empty inlines when the CMake option MONTAGE_TELEMETRY is OFF
-//    (-DMONTAGE_TELEMETRY_DISABLED), so the kill switch has zero overhead;
-//    when compiled in, the record path is lock-free (per-thread padded slots,
-//    relaxed atomics) and all aggregation happens on the reader's side.
+//  * The registry + trace — process-wide instrumentation recorded from
+//    EpochSys, DCSS, the hazard domain, Ralloc, nvm::Region and the server.
+//    The record path is lock-free (per-thread padded slots, relaxed atomics)
+//    and all aggregation happens on the reader's side.
 //
 // Runtime gating (values are validated with env_u64_checked — garbage
 // throws instead of silently disabling telemetry a test believes is armed):
@@ -46,25 +43,14 @@
 #include "util/threadid.hpp"
 #include "util/timing.hpp"
 
-#if defined(MONTAGE_TELEMETRY_DISABLED)
-#define MONTAGE_TELEMETRY_ENABLED 0
-#else
-#define MONTAGE_TELEMETRY_ENABLED 1
-#endif
-
 namespace montage::telemetry {
 
-/// True when instrumentation is compiled in (CMake option MONTAGE_TELEMETRY).
-inline constexpr bool kEnabled = MONTAGE_TELEMETRY_ENABLED != 0;
-
-// ---- always-available sharded primitive -------------------------------------
+// ---- sharded per-instance counter --------------------------------------------
 
 /// A counter sharded over cache-line-padded per-thread slots: add() is a
 /// relaxed increment of the calling thread's own line (lock-free, no
 /// cross-thread traffic); read() aggregates all slots. Writers never block
 /// readers and a read is a consistent monotone sample of concurrent adds.
-/// NOT gated by the kill switch — infrastructure (nvm::Region stats) relies
-/// on it unconditionally.
 class ShardedCounter {
  public:
   static constexpr int kShards = util::ThreadIdPool::kMaxThreads;
@@ -225,8 +211,8 @@ struct Percentiles {
 };
 
 /// Histogram bucket index for value `v`: its bit width (bucket 0 holds 0,
-/// bucket i >= 1 holds [2^(i-1), 2^i)), clamped to the top bucket. Available
-/// in both build flavours — bench-side recorders share the bucket scheme.
+/// bucket i >= 1 holds [2^(i-1), 2^i)), clamped to the top bucket.
+/// Bench-side recorders share the bucket scheme.
 inline int hist_bucket_of(uint64_t v) {
   int w = 0;
   while (v != 0) {
@@ -235,8 +221,6 @@ inline int hist_bucket_of(uint64_t v) {
   }
   return w < kHistBuckets ? w : kHistBuckets - 1;
 }
-
-#if MONTAGE_TELEMETRY_ENABLED
 
 namespace detail {
 
@@ -283,46 +267,7 @@ inline void trace(Ev type, uint64_t a0 = 0, uint64_t a1 = 0) {
   if (trace_enabled()) detail::trace_slow(type, a0, a1);
 }
 
-/// now_ns() when telemetry is compiled in, 0 (no clock read) when it is not.
-/// For manual interval timing whose observe() sits on a different path than
-/// the start timestamp (see EpochSys::try_advance_epoch).
-inline uint64_t now_if_enabled() { return util::now_ns(); }
-
-/// RAII interval timer: observes the elapsed ns into `h` at scope exit.
-/// Compiles to nothing when the kill switch is off.
-class ScopedTimer {
- public:
-  /// Start timing an interval destined for histogram `h`.
-  explicit ScopedTimer(Hist h) : h_(h), t0_(util::now_ns()) {}
-  /// Observe the elapsed nanoseconds into the histogram.
-  ~ScopedTimer() { observe(h_, util::now_ns() - t0_); }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  Hist h_;
-  uint64_t t0_;
-};
-
-#else  // MONTAGE_TELEMETRY_ENABLED
-
-// Kill-switch flavour: the record path compiles to nothing.
-inline void count(Ctr, uint64_t = 1) {}        ///< no-op (telemetry off)
-inline void observe(Hist, uint64_t) {}         ///< no-op (telemetry off)
-inline bool trace_enabled() { return false; }  ///< always false when off
-inline void trace(Ev, uint64_t = 0, uint64_t = 0) {}  ///< no-op
-inline uint64_t now_if_enabled() { return 0; }  ///< 0: no clock read when off
-class ScopedTimer {
- public:
-  explicit ScopedTimer(Hist) {}  ///< no-op (telemetry off)
-};
-
-#endif  // MONTAGE_TELEMETRY_ENABLED
-
 // ---- configuration -----------------------------------------------------------
-// All of the functions below exist in both build flavours; with the kill
-// switch off they are no-ops returning empty data, so callers (benches,
-// Region, tests) never need their own #if.
 
 /// (Re)read MONTAGE_TRACE / MONTAGE_STATS and apply them: configures the
 /// trace ring and registers the at-exit stats dump (once). Called by the
@@ -349,8 +294,8 @@ void trace_restore(const std::vector<TraceEvent>& events);
 
 /// Serialize the newest trace events into `dst` (annex format: 16-byte
 /// header + raw TraceEvents, newest events kept when `cap` is short).
-/// Returns bytes written; 0 when the trace is off/empty or telemetry is
-/// compiled out (the annex is then left untouched).
+/// Returns bytes written; 0 when the trace is off or empty (the annex is
+/// then left untouched).
 std::size_t trace_serialize(char* dst, std::size_t cap);
 
 /// Parse an annex previously written by trace_serialize; empty on a missing
@@ -360,8 +305,8 @@ std::vector<TraceEvent> trace_deserialize(const char* src, std::size_t cap);
 // ---- registry read side ------------------------------------------------------
 
 /// Register a late-bound gauge sampled at dump time (e.g. a live Region's
-/// line counter). Returns a handle for unregister_gauge, -1 when telemetry
-/// is compiled out. Same-name gauges are summed in dumps.
+/// line counter). Returns a handle for unregister_gauge. Same-name gauges
+/// are summed in dumps.
 int register_gauge(const std::string& name, const std::string& unit,
                    std::function<uint64_t()> fn);
 
@@ -372,12 +317,17 @@ void unregister_gauge(int id);
 /// Aggregated counters, catalog order.
 std::vector<CounterValue> counters_snapshot();
 
+/// Counter `c`'s value in a counters_snapshot() (catalog order is Ctr order).
+inline uint64_t counter_value(const std::vector<CounterValue>& snap, Ctr c) {
+  return snap[static_cast<uint32_t>(c)].value;
+}
+
 /// Aggregated histograms, catalog order.
 std::vector<HistogramValue> histograms_snapshot();
 
 /// Sampled gauges, same-name entries summed (registration order otherwise).
-/// Empty when telemetry is compiled out. The read side of register_gauge —
-/// the Prometheus exposition (util/promexpo) renders these live.
+/// The read side of register_gauge — the Prometheus exposition
+/// (util/promexpo) renders these live.
 std::vector<GaugeValue> gauges_snapshot();
 
 /// Zero every counter and histogram slot (the trace is left alone; racing
@@ -401,8 +351,7 @@ uint64_t hist_bucket_upper(int i);
 /// bucket holding the rank-ceil(q*count) observation (ranks are 1-based and
 /// clamped to [1, count]). This is exact with respect to the bucket
 /// resolution — the true value is <= the returned bound and > the previous
-/// bucket's bound. Returns 0 for an empty histogram. Available in both
-/// build flavours.
+/// bucket's bound. Returns 0 for an empty histogram.
 uint64_t hist_percentile(const HistogramValue& hv, double q);
 
 /// p50/p90/p99/p999 of `hv` via hist_percentile (all 0 when empty).

@@ -17,9 +17,17 @@ using testing::PersistentEnv;
 using Key = util::InlineStr<32>;
 using Val = util::InlineStr<64>;
 
+// The baselines never touch the EpochSys, and these tests call
+// simulate_crash() directly: a live advancer would race the image restore.
+EpochSys::Options no_advancer() {
+  EpochSys::Options o;
+  o.start_advancer = false;
+  return o;
+}
+
 class BaselineRecoveryTest : public ::testing::Test {
  protected:
-  BaselineRecoveryTest() : env_(128 << 20) {}
+  BaselineRecoveryTest() : env_(128 << 20, no_advancer()) {}
   PersistentEnv env_;
 };
 

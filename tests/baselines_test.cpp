@@ -24,9 +24,17 @@ using testing::PersistentEnv;
 using Key = util::InlineStr<32>;
 using Val = util::InlineStr<64>;
 
+// The baselines never touch the EpochSys, and these tests call
+// simulate_crash() directly: a live advancer would race the image restore.
+EpochSys::Options no_advancer() {
+  EpochSys::Options o;
+  o.start_advancer = false;
+  return o;
+}
+
 class BaselinesTest : public ::testing::Test {
  protected:
-  BaselinesTest() : env_(128 << 20) {}
+  BaselinesTest() : env_(128 << 20, no_advancer()) {}
   PersistentEnv env_;
 };
 

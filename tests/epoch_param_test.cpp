@@ -280,15 +280,13 @@ TEST(CooperativeWatchdog, HealthyCooperativePacingNeverAlarms) {
 
   EXPECT_GE(es->current_epoch(), c0 + 3) << "cooperative pacing stalled";
   EXPECT_FALSE(es->advancer_alive()) << "something restarted the advancer";
-  if (telemetry::kEnabled) {
-    uint64_t alarms = 0, coop = 0;
-    for (const auto& c : telemetry::counters_snapshot()) {
-      if (std::string(c.name) == "epoch.watchdog_alarms") alarms = c.value;
-      if (std::string(c.name) == "epoch.cooperative_advances") coop = c.value;
-    }
-    EXPECT_EQ(alarms, 0u) << "healthy cooperative config alarmed";
-    EXPECT_GE(coop, 3u);
+  uint64_t alarms = 0, coop = 0;
+  for (const auto& c : telemetry::counters_snapshot()) {
+    if (std::string(c.name) == "epoch.watchdog_alarms") alarms = c.value;
+    if (std::string(c.name) == "epoch.cooperative_advances") coop = c.value;
   }
+  EXPECT_EQ(alarms, 0u) << "healthy cooperative config alarmed";
+  EXPECT_GE(coop, 3u);
   EXPECT_TRUE(es->sync_for(5'000'000'000ull));
 }
 

@@ -216,7 +216,9 @@ TEST_F(OrderedMapTest, ConcurrentReadersAndWriters) {
       for (std::size_t i = 0; i < r.size(); ++i) {
         EXPECT_GE(r[i].first, 20u);
         EXPECT_LT(r[i].first, 60u);
-        if (i > 0) EXPECT_LT(r[i - 1].first, r[i].first);
+        if (i > 0) {
+          EXPECT_LT(r[i - 1].first, r[i].first);
+        }
       }
     }
   });

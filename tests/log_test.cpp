@@ -1,9 +1,7 @@
 // Unit tests for the structured JSON line logger (src/util/log.hpp,
 // DESIGN.md §14): level parsing and env validation, one-object-per-line
 // emission with typed fields, the level gate, and the rate limiter's
-// drop-counting ("dropped":<n> carried onto the next emitted line). The
-// suite name ("Log") is part of the telemetry-OFF ctest leg's selection
-// regex in scripts/check.sh.
+// drop-counting ("dropped":<n> carried onto the next emitted line).
 #include <gtest/gtest.h>
 
 #include <unistd.h>

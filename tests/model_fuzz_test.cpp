@@ -57,7 +57,9 @@ TEST_P(MapModelFuzz, RecoveredMapEqualsEpochBoundarySnapshot) {
         auto got = map.get(Key(k));
         auto it = model.find(k);
         ASSERT_EQ(got.has_value(), it != model.end());
-        if (got.has_value()) ASSERT_EQ(got->str(), it->second);
+        if (got.has_value()) {
+          ASSERT_EQ(got->str(), it->second);
+        }
       }
     }
     if (rng.next_bounded(15) == 0) {

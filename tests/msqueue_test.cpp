@@ -106,7 +106,9 @@ TEST_F(MsQueueTest, PerProducerOrderIsPreserved) {
   while (auto v = q_->dequeue()) {
     const int t = static_cast<int>(*v / 100000);
     const uint64_t i = *v % 100000;
-    if (seen_any[t]) EXPECT_GT(i, last_seen[t]);
+    if (seen_any[t]) {
+      EXPECT_GT(i, last_seen[t]);
+    }
     last_seen[t] = i;
     seen_any[t] = true;
   }

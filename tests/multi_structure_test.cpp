@@ -103,7 +103,8 @@ TEST(MultiStructure, CrossStructureOperationsShareEpochCut) {
   queue.enqueue("42");
   es->sync();
   // Move: both ops run in the same epoch (no advance between them).
-  auto v = queue.dequeue();
+  const auto v = queue.dequeue();
+  ASSERT_TRUE(v.has_value());
   stack.push(42);
   auto survivors = env.crash_and_recover();
   es = env.esys();

@@ -2,8 +2,6 @@
 // the windowed-rate snapshot differ (DESIGN.md §14). The render tests go
 // through the same lint() the scripts/check.sh scrape leg uses, so "the
 // renderer emitted it" and "the CI validator accepts it" stay one predicate.
-// Suite names matter: the telemetry-OFF ctest leg in scripts/check.sh
-// selects these tests by the "Promexpo|RateWindow" patterns.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -16,7 +14,6 @@
 namespace montage {
 namespace {
 
-using promexpo::CounterRow;
 using promexpo::GaugeRow;
 using promexpo::RateWindow;
 using promexpo::Snapshot;
@@ -35,20 +32,13 @@ TEST(Promexpo, MetricNameMapsDottedAndSanitizes) {
 
 TEST(Promexpo, RenderPassesOwnLintAndCarriesBuildRows) {
   const Snapshot snap = promexpo::capture(1'000'000'000ull);
-  // Extra rows use names outside the registry catalog — the render contract
-  // is that callers only add counters the snapshot does not already carry
-  // (families may not repeat in the exposition format).
-  const std::vector<CounterRow> extras = {
-      {"server.probe_requests", "requests parsed", 42}};
   const std::vector<GaugeRow> gauges = {
       {"server.curr_connections", "open connections", 3.0}};
-  const std::string text = promexpo::render(snap, extras, gauges, nullptr);
+  const std::string text = promexpo::render(snap, gauges, nullptr);
   EXPECT_EQ(lint_of(text), "") << text.substr(0, 400);
-  // The build rows are present in every flavour, telemetry on or off.
   EXPECT_NE(text.find("montage_up 1\n"), std::string::npos);
-  EXPECT_NE(text.find("montage_telemetry_enabled"), std::string::npos);
-  // Extra counters render as counter families with the _total suffix.
-  EXPECT_NE(text.find("montage_server_probe_requests_total 42\n"),
+  // Registry counters render as counter families with the _total suffix.
+  EXPECT_NE(text.find("# TYPE montage_server_requests_total counter\n"),
             std::string::npos);
   EXPECT_NE(text.find("montage_server_curr_connections 3\n"),
             std::string::npos);
@@ -57,10 +47,8 @@ TEST(Promexpo, RenderPassesOwnLintAndCarriesBuildRows) {
 TEST(Promexpo, TotalSuffixIsNeverDoubled) {
   // Registry names like nvm.lines_flushed_total already end in _total; the
   // renderer must not emit montage_nvm_lines_flushed_total_total.
-  const Snapshot snap{1, {}, {}};
-  const std::vector<CounterRow> extras = {
-      {"nvm.lines_flushed_total", "lines flushed", 7}};
-  const std::string text = promexpo::render(snap, extras, {}, nullptr);
+  const Snapshot snap{1, {{"nvm.lines_flushed_total", "lines", 7}}, {}};
+  const std::string text = promexpo::render(snap, {}, nullptr);
   EXPECT_EQ(lint_of(text), "");
   EXPECT_NE(text.find("montage_nvm_lines_flushed_total 7\n"),
             std::string::npos);
@@ -68,16 +56,13 @@ TEST(Promexpo, TotalSuffixIsNeverDoubled) {
 }
 
 TEST(Promexpo, RegistryHistogramRendersCumulativeBuckets) {
-  if (!telemetry::kEnabled) {
-    GTEST_SKIP() << "registry compiled out (MONTAGE_TELEMETRY=OFF)";
-  }
   // Feed one histogram a known spread, then verify the rendered buckets are
   // cumulative, end at +Inf, and agree with _count.
   telemetry::observe(telemetry::Hist::kSyncLatency, 5);
   telemetry::observe(telemetry::Hist::kSyncLatency, 5);
   telemetry::observe(telemetry::Hist::kSyncLatency, 1'000'000);
   const Snapshot snap = promexpo::capture(1);
-  const std::string text = promexpo::render(snap, {}, {}, nullptr);
+  const std::string text = promexpo::render(snap, {}, nullptr);
   ASSERT_EQ(lint_of(text), "") << text.substr(0, 400);
 
   const std::string base = "montage_epoch_sync_latency_ns";
@@ -269,11 +254,11 @@ TEST(RateWindow, RenderEmitsWindowFamiliesOnceReady) {
   w.push(synth(1'000'000'000ull, 100));
   const Snapshot current = synth(2'000'000'000ull, 400);
   // Window not ready yet (single snapshot): no window families rendered.
-  std::string text = promexpo::render(current, {}, {}, &w);
+  std::string text = promexpo::render(current, {}, &w);
   EXPECT_EQ(lint_of(text), "");
   EXPECT_EQ(text.find("montage_window_seconds"), std::string::npos);
   w.push(current);
-  text = promexpo::render(current, {}, {}, &w);
+  text = promexpo::render(current, {}, &w);
   EXPECT_EQ(lint_of(text), "") << text.substr(0, 400);
   EXPECT_NE(text.find("montage_window_seconds 1\n"), std::string::npos);
   EXPECT_NE(

@@ -26,7 +26,7 @@ EpochSys::Options manual() {
 /// The same PBlk written twice in one epoch: back to back, the re-write
 /// flushes no extra line at the boundary; with another block's write in
 /// between, both values still recover after a crash — the LAST one wins.
-TEST(Coalesce, SameBlockTwiceOneEpochDedupsAndRecovers) {
+TEST(SameEpochRewrite, SameBlockTwiceOneEpochDedupsAndRecovers) {
   auto lines_for = [](bool rewrite) -> uint64_t {
     PersistentEnv env(8ull << 20, manual());
     EpochSys* es = env.esys();
@@ -65,7 +65,7 @@ TEST(Coalesce, SameBlockTwiceOneEpochDedupsAndRecovers) {
 
 /// Every write-back mode must keep the synced-state-survives guarantee for
 /// payloads re-written within the epoch that created them.
-TEST(Coalesce, AllWriteBackModesRecoverWithCoalescing) {
+TEST(SameEpochRewrite, AllWriteBackModesRecover) {
   for (WriteBack wb :
        {WriteBack::kBuffered, WriteBack::kPerOp, WriteBack::kImmediate}) {
     EpochSys::Options o = manual();

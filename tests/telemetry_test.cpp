@@ -54,7 +54,6 @@ TEST(ShardedCounter, ConcurrentAddsAggregateExactly) {
 }
 
 TEST(Telemetry, ConcurrentCountsAggregateExactly) {
-  if (!telemetry::kEnabled) GTEST_SKIP() << "telemetry compiled out";
   const uint64_t before = counter_named("epoch.ops_begun");
   constexpr int kThreads = 8;
   constexpr uint64_t kPerThread = 10'000;
@@ -71,7 +70,6 @@ TEST(Telemetry, ConcurrentCountsAggregateExactly) {
 }
 
 TEST(Telemetry, HistogramBucketBoundaries) {
-  if (!telemetry::kEnabled) GTEST_SKIP() << "telemetry compiled out";
   const auto before = hist_named("epoch.writeback_batch_blocks");
   // Bucket i holds values of bit width i: 0 -> 0, 1 -> 1, {2,3} -> 2,
   // {4..7} -> 3, and anything wider than the table clamps to the top.
@@ -96,8 +94,7 @@ TEST(Telemetry, HistogramBucketBoundaries) {
 }
 
 TEST(Telemetry, PercentilesAreExactAtBucketBoundaries) {
-  // Works in both build flavours: hist_percentile is a pure function of the
-  // (hand-built) snapshot.
+  // hist_percentile is a pure function of the (hand-built) snapshot.
   telemetry::HistogramValue hv{};
   hv.buckets[0] = 1;  // one observation of 0
   hv.buckets[1] = 1;  // one observation of 1
@@ -138,7 +135,6 @@ TEST(Telemetry, PercentileClampsToTopBucket) {
 }
 
 TEST(Telemetry, TraceRingKeepsNewestOnWrap) {
-  if (!telemetry::kEnabled) GTEST_SKIP() << "telemetry compiled out";
   telemetry::trace_configure(64);  // the minimum (and already a power of two)
   for (uint64_t i = 0; i < 100; ++i) {
     telemetry::trace(telemetry::Ev::kEioRetry, i);
@@ -155,7 +151,6 @@ TEST(Telemetry, TraceRingKeepsNewestOnWrap) {
 }
 
 TEST(Telemetry, TraceSerializeRoundTrips) {
-  if (!telemetry::kEnabled) GTEST_SKIP() << "telemetry compiled out";
   telemetry::trace_configure(64);
   telemetry::trace(telemetry::Ev::kAdoption, 3, 17);
   telemetry::trace(telemetry::Ev::kWatchdogRestart, 1'000'000);
@@ -176,8 +171,8 @@ TEST(Telemetry, TraceSerializeRoundTrips) {
 }
 
 TEST(Telemetry, MalformedEnvKnobsThrow) {
-  // Validation is strict in both build flavours: a garbage knob must fail
-  // loudly, never silently run without the telemetry the user asked for.
+  // Validation is strict: a garbage knob must fail loudly, never silently
+  // run without the telemetry the user asked for.
   ASSERT_EQ(setenv("MONTAGE_TRACE", "bogus", 1), 0);
   EXPECT_THROW(telemetry::init_from_env(), std::invalid_argument);
   ASSERT_EQ(unsetenv("MONTAGE_TRACE"), 0);
@@ -188,7 +183,6 @@ TEST(Telemetry, MalformedEnvKnobsThrow) {
 }
 
 TEST(Telemetry, GaugesAppearInJsonUntilUnregistered) {
-  if (!telemetry::kEnabled) GTEST_SKIP() << "telemetry compiled out";
   const int id =
       telemetry::register_gauge("test.gauge", "units", [] { return 42u; });
   ASSERT_GE(id, 0);
@@ -201,7 +195,6 @@ TEST(Telemetry, GaugesAppearInJsonUntilUnregistered) {
 }
 
 TEST(Telemetry, StatsJsonCoversInstrumentedRun) {
-  if (!telemetry::kEnabled) GTEST_SKIP() << "telemetry compiled out";
   PersistentEnv env(64 << 20, no_advancer());
   EpochSys* es = env.esys();
   for (int i = 0; i < 8; ++i) {
@@ -224,7 +217,6 @@ TEST(Telemetry, StatsJsonCoversInstrumentedRun) {
 }
 
 TEST(Telemetry, CrashDumpsTraceAnnexAndRecoveryRestoresIt) {
-  if (!telemetry::kEnabled) GTEST_SKIP() << "telemetry compiled out";
   PersistentEnv env(64 << 20, no_advancer());
   telemetry::trace_configure(1024);
   telemetry::trace_reset();

@@ -174,13 +174,11 @@ TEST(ThreadFailure, CooperativeTickAfterAdvancerKill) {
   }));
   // Cooperative advance, not a resurrected thread, moved the clock.
   EXPECT_FALSE(es->advancer_alive());
-  if (telemetry::kEnabled) {
-    uint64_t coop = 0;
-    for (const auto& c : telemetry::counters_snapshot()) {
-      if (std::string(c.name) == "epoch.cooperative_advances") coop = c.value;
-    }
-    EXPECT_GE(coop, 3u);
+  uint64_t coop = 0;
+  for (const auto& c : telemetry::counters_snapshot()) {
+    if (std::string(c.name) == "epoch.cooperative_advances") coop = c.value;
   }
+  EXPECT_GE(coop, 3u);
 }
 
 TEST(ThreadFailure, RegistrationsRacingBoundaryDrainsLoseNothing) {
