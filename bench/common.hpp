@@ -13,11 +13,14 @@
 //   MONTAGE_BENCH_LAT_SAMPLE — time every Nth op for the latency percentile
 //                              rows (default 64; 0 disables sampling)
 //
+// Numeric knobs are parsed strictly (util/env.hpp): a malformed value, or a
+// thread count of 0, stops the binary with std::invalid_argument instead of
+// running a configuration nobody asked for.
+//
 // Flags: --stats-json appends the telemetry registry (counters, histograms,
-// gauges, trace status) as one JSON line after the CSV rows, and arms the
-// process-wide perf-counter gauges (perf.cycles, ...) when the kernel allows
-// them. Unknown --flags are rejected; bare words still pass through so
-// wrapper scripts can tag invocations harmlessly.
+// gauges, trace status) as one JSON line after the CSV rows. Unknown --flags
+// are rejected; bare words still pass through so wrapper scripts can tag
+// invocations harmlessly.
 #pragma once
 
 #include <cstdio>
@@ -36,7 +39,6 @@
 #include "util/env.hpp"
 #include "util/inline_str.hpp"
 #include "util/padded.hpp"
-#include "util/perfcounters.hpp"
 #include "util/pin.hpp"
 #include "util/rand.hpp"
 #include "util/telemetry.hpp"
@@ -48,13 +50,6 @@ namespace montage::bench {
 inline bool& stats_json_requested() {
   static bool v = false;
   return v;
-}
-
-/// The process-wide perf-counter group armed by parse_args when
-/// --stats-json is requested (inherited by every worker thread).
-inline util::PerfGroup& process_perf_group() {
-  static util::PerfGroup g = util::PerfGroup::disabled();
-  return g;
 }
 
 /// Flag parsing shared by every figure binary. `--`-prefixed flags must be
@@ -85,15 +80,6 @@ inline void parse_args(int argc, char** argv) {
       std::exit(2);
     }
   }
-  if (stats_json_requested()) {
-    // Whole-run hardware counters for the stats dump; worker threads created
-    // later are inherited. Silently absent when the kernel refuses.
-    process_perf_group() = util::PerfGroup::process();
-    process_perf_group().start();
-    static std::vector<int> gauge_ids =
-        process_perf_group().register_telemetry_gauges();
-    (void)gauge_ids;  // intentionally live until exit
-  }
 }
 
 /// Print the telemetry registry as one JSON line (after the CSV rows) when
@@ -116,12 +102,18 @@ struct Config {
   static Config from_env() {
     Config c;
     c.seconds = util::env_double("MONTAGE_BENCH_SECONDS", 0.2);
-    c.max_threads = static_cast<int>(util::env_u64("MONTAGE_BENCH_THREADS", 8));
+    const uint64_t threads = util::env_u64_checked("MONTAGE_BENCH_THREADS", 8);
+    if (threads == 0 || threads > util::ThreadIdPool::kMaxThreads) {
+      throw std::invalid_argument(
+          "MONTAGE_BENCH_THREADS=" + std::to_string(threads) +
+          ": expected 1.." + std::to_string(util::ThreadIdPool::kMaxThreads));
+    }
+    c.max_threads = static_cast<int>(threads);
     c.scale = util::env_double("MONTAGE_BENCH_SCALE", 0.02);
     // Defaults approximate Optane: ~15 ns of drain bandwidth per 64 B line
     // (~4 GB/s per socket), ~200 ns to drain the pipeline at a fence.
-    c.flush_ns = util::env_u64("MONTAGE_FLUSH_NS", 15);
-    c.fence_ns = util::env_u64("MONTAGE_FENCE_NS", 200);
+    c.flush_ns = util::env_u64_checked("MONTAGE_FLUSH_NS", 15);
+    c.fence_ns = util::env_u64_checked("MONTAGE_FENCE_NS", 200);
     return c;
   }
 
@@ -145,7 +137,7 @@ class BenchEnv {
     ropts.mode = mode;
     ropts.flush_latency_ns = cfg.flush_ns;
     ropts.fence_latency_ns = cfg.fence_ns;
-    ropts.wpq_backlog_ns = util::env_u64("MONTAGE_WPQ_NS", 10'000);
+    ropts.wpq_backlog_ns = util::env_u64_checked("MONTAGE_WPQ_NS", 10'000);
     nvm::Region::init_global(ropts);
     ral_ = std::make_unique<ralloc::Ralloc>(nvm::Region::global(),
                                             ralloc::Ralloc::Mode::kFresh);
@@ -203,7 +195,7 @@ struct ThroughputResult {
 /// (default 64 keeps the clock reads off ~98% of ops); 0 disables sampling.
 inline uint64_t latency_sample_period() {
   static const uint64_t period =
-      util::env_u64("MONTAGE_BENCH_LAT_SAMPLE", 64);
+      util::env_u64_checked("MONTAGE_BENCH_LAT_SAMPLE", 64);
   return period;
 }
 
@@ -292,7 +284,7 @@ inline void emit(const std::string& figure, const std::string& series,
 /// Emit one measurement: the throughput row, then (when latency sampling is
 /// on) one row per percentile under derived series names — e.g. series
 /// "Montage" also yields "Montage/p50_ns" .. "Montage/p999_ns". The "_ns"
-/// suffix marks the series lower-is-better for bench/compare.
+/// suffix names the unit: these series are lower-is-better.
 inline void emit_result(const std::string& figure, const std::string& series,
                         const std::string& x, const ThroughputResult& r) {
   emit(figure, series, x, r.mops);
@@ -306,11 +298,9 @@ inline void emit_result(const std::string& figure, const std::string& series,
 
 /// Emit `<series>/lines_per_op` — cache lines flushed per completed op over
 /// the measurement window (the persistence-cost axis of the write-back
-/// buffers). The "lines_per_op" suffix marks the
-/// series lower-is-better for bench/compare; unlike the duration-suffixed
-/// latency series it is a persistence-cost rate and stays gated under
-/// --rates-only. Series that flushed nothing (transient baselines) emit no
-/// row.
+/// buffers), lower-is-better. tests/writeback_cost_test.cpp pins the exact
+/// counts for fixed single-threaded runs. Series that flushed nothing
+/// (transient baselines) emit no row.
 inline void emit_lines_per_op(const std::string& figure,
                               const std::string& series, const std::string& x,
                               const ThroughputResult& r, uint64_t lines_before,

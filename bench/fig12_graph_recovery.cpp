@@ -73,10 +73,10 @@ double construct_parallel(G& g, const EdgeList& el, int threads) {
 
 void main_impl() {
   const Config cfg = Config::from_env();
-  const uint64_t nvertices = util::env_u64(
+  const uint64_t nvertices = util::env_u64_checked(
       "MONTAGE_GRAPH_VERTICES",
       std::max<uint64_t>(4096, static_cast<uint64_t>(3'000'000 * cfg.scale)));
-  const uint64_t nedges = util::env_u64(
+  const uint64_t nedges = util::env_u64_checked(
       "MONTAGE_GRAPH_EDGES",
       std::max<uint64_t>(16384, static_cast<uint64_t>(nvertices * 16)));
   const EdgeList el = make_powerlaw(nvertices, nedges);

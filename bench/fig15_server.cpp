@@ -412,7 +412,7 @@ int main_impl() {
     LoadTotals t = run_load(s.port, 4, secs, 0.99, 10, records);
     emit("fig15", "fault_kops", "mixed",
          static_cast<double>(t.ops) / t.elapsed_s / 1e3);
-    // Raw defensive-action counts vary hugely run to run, so the gateable
+    // Raw defensive-action counts vary hugely run to run, so the CSV
     // series are binary did-it-happen indicators; the counts go to stderr.
     const uint64_t shed = t.shed + server_stat(s.port, "requests_shed");
     const uint64_t stalls = server_stat(s.port, "stall_closed");
@@ -432,9 +432,8 @@ int main_impl() {
   // --- Admin-plane scrape cost under full load -----------------------------
   // DESIGN.md §14: /metrics renders from sharded-counter sums on the admin
   // connection's epoll turn, so a scrape must stay cheap while the data
-  // plane is saturated. Mean round-trip (connect + GET + body to EOF); the
-  // _ms suffix marks it lower-is-better for bench/compare and keeps it out
-  // of --rates-only gating (absolute wall time is machine-dependent).
+  // plane is saturated. Mean round-trip (connect + GET + body to EOF), in
+  // ms: lower is better.
   {
     const std::string dir = fresh_dir();
     ServerProc s = spawn_server(dir,

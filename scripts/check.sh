@@ -64,26 +64,3 @@ cmake --build "$TSAN_DIR" -j "$(nproc)"
 ctest --test-dir "$TSAN_DIR" --output-on-failure -j "$(nproc)" \
   -R "ThreadFailure|CooperativeWatchdog|Dcss|Baseline|EpochSys\.|Hazard|Telemetry|ShardedCounter" \
   "$@"
-
-# Smoke-perf leg (opt in with MONTAGE_SMOKE_PERF=1): a tiny un-sanitized
-# orchestrator run gated against the committed baseline. The threshold is
-# deliberately generous and only throughput series are gated
-# (--rates-only): at 20 ms per point this proves the pipeline and catches
-# order-of-magnitude cliffs, not 10% drifts — and tail percentiles from a
-# handful of samples are pure noise at this scale. lines_per_op series
-# (fig8/fig9) stay gated even under --rates-only: flushes per op are
-# deterministic counts, so a regression there is a real change in
-# write-back cost.
-if [[ "${MONTAGE_SMOKE_PERF:-0}" == "1" ]]; then
-  PERF_DIR=build-smoke-perf
-  cmake -B "$PERF_DIR" -S .
-  cmake --build "$PERF_DIR" -j "$(nproc)" --target orchestrator compare \
-    fig4_design_hashmap fig8_payload fig9_sync fig15_server montage_kv_server
-  MONTAGE_BENCH_SECONDS=${MONTAGE_BENCH_SECONDS:-0.02} \
-  MONTAGE_BENCH_THREADS=${MONTAGE_BENCH_THREADS:-2} \
-  MONTAGE_BENCH_SCALE=${MONTAGE_BENCH_SCALE:-0.002} \
-    "$PERF_DIR/bench/orchestrator" --figures=4,8,9,15 \
-    --out="$PERF_DIR/BENCH_smoke.json"
-  "$PERF_DIR/bench/compare" results/BENCH_baseline.json \
-    "$PERF_DIR/BENCH_smoke.json" --threshold=0.90 --rates-only
-fi

@@ -18,7 +18,6 @@ HEADERS=(
   src/montage/recoverable.hpp
   src/nvm/region.hpp
   src/util/telemetry.hpp
-  src/util/perfcounters.hpp
   src/server/config.hpp
   src/server/protocol.hpp
   src/server/kv_server.hpp

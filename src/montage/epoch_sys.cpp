@@ -75,6 +75,9 @@ EpochSys::EpochSys(ralloc::Ralloc* ral, const Options& opts, bool recover)
       clock_(&ral->region()->root(kClockRoot)),
       tds_(std::make_unique<ThreadData[]>(opts.max_threads)),
       uid_root_(&ral->region()->root(kUidRoot)) {
+  if (opts.buffer_capacity == 0) {
+    throw std::invalid_argument("EpochSys: buffer_capacity must be > 0");
+  }
   nvm::Region* region = ral_->region();
   if (recover) {
     crash_epoch_ = clock_->load(std::memory_order_relaxed);
@@ -652,7 +655,7 @@ void EpochSys::ring_push(ThreadData& td, uint64_t e, PBlk* p) {
   auto& ring = td.to_persist[e % 4];
   if (!ring.empty() && ring.back() == p) return;  // hot payload, in place
   if (ring.empty()) td.ring_epoch[e % 4] = e;
-  if (opts_.buffer_capacity != 0 && ring.size() >= opts_.buffer_capacity) {
+  if (ring.size() >= opts_.buffer_capacity) {
     // Incremental write-back of the oldest entry (paper §5.2: essential so
     // the background thread never faces unbounded buffers).
     telemetry::count(telemetry::Ctr::kWbOverflow);

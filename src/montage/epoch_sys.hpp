@@ -124,7 +124,7 @@ class EpochSys {
  public:
   struct Options {
     int max_threads = util::ThreadIdPool::kMaxThreads;
-    std::size_t buffer_capacity = 64;  ///< to_persist ring size; 0 = unbounded
+    std::size_t buffer_capacity = 64;  ///< to_persist ring size; must be > 0
     uint64_t epoch_length_ns = 10'000'000;  ///< 10 ms, the paper's default
     /// Run the background epoch advancer. It is a pacing hint only: workers
     /// that observe the clock lagging a full epoch_length_ns while no
@@ -158,7 +158,8 @@ class EpochSys {
   static constexpr uint64_t kNoDeadline = ~0ull;
 
   /// Builds on `ral` (which manages the NVM region). `recover` selects
-  /// whether the persistent epoch clock is formatted or resumed.
+  /// whether the persistent epoch clock is formatted or resumed. Throws
+  /// std::invalid_argument when opts.buffer_capacity is 0.
   EpochSys(ralloc::Ralloc* ral, const Options& opts, bool recover = false);
   /// Stops the advancer and releases the process-default slot if held.
   ~EpochSys();

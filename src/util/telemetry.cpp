@@ -441,7 +441,7 @@ std::string stats_json() {
   std::string s;
   s.reserve(4096);
   char buf[384];
-  s += "{\"telemetry\":1,\"counters\":{";
+  s += "{\"counters\":{";
   bool first = true;
   for (const auto& c : counters_snapshot()) {
     std::snprintf(buf, sizeof buf,

@@ -340,6 +340,15 @@ TEST(EpochSys, BufferOverflowWritesBackIncrementally) {
   EXPECT_GT(env.region()->stats().lines_flushed, 0u);
 }
 
+TEST(EpochSys, ZeroBufferCapacityIsRejected) {
+  // A ring of capacity 0 would have to write back its front entry before it
+  // ever held one.
+  PersistentEnv env(64 << 20, no_advancer());
+  EpochSys::Options o = no_advancer();
+  o.buffer_capacity = 0;
+  EXPECT_THROW({ EpochSys es(env.ral(), o); }, std::invalid_argument);
+}
+
 TEST(EpochSys, PerOpWriteBackFlushesAtEndOp) {
   EpochSys::Options o = no_advancer();
   o.write_back = WriteBack::kPerOp;

@@ -147,15 +147,18 @@ TEST(Zipf, ScrambledSpreadsHotKeys) {
 
 TEST(Env, FallbacksAndParsing) {
   ::unsetenv("MONTAGE_TEST_ENV_X");
-  EXPECT_EQ(env_u64("MONTAGE_TEST_ENV_X", 42), 42u);
+  EXPECT_EQ(env_u64_checked("MONTAGE_TEST_ENV_X", 42), 42u);
   EXPECT_DOUBLE_EQ(env_double("MONTAGE_TEST_ENV_X", 1.5), 1.5);
   EXPECT_EQ(env_str("MONTAGE_TEST_ENV_X", "d"), "d");
   ::setenv("MONTAGE_TEST_ENV_X", "123", 1);
-  EXPECT_EQ(env_u64("MONTAGE_TEST_ENV_X", 42), 123u);
+  EXPECT_EQ(env_u64_checked("MONTAGE_TEST_ENV_X", 42), 123u);
   ::setenv("MONTAGE_TEST_ENV_X", "2.75", 1);
   EXPECT_DOUBLE_EQ(env_double("MONTAGE_TEST_ENV_X", 1.5), 2.75);
+  ::setenv("MONTAGE_TEST_ENV_X", "1e-3", 1);
+  EXPECT_DOUBLE_EQ(env_double("MONTAGE_TEST_ENV_X", 1.5), 0.001);
   ::setenv("MONTAGE_TEST_ENV_X", "", 1);
-  EXPECT_EQ(env_u64("MONTAGE_TEST_ENV_X", 9), 9u);  // empty = unset
+  EXPECT_EQ(env_u64_checked("MONTAGE_TEST_ENV_X", 9), 9u);  // empty = unset
+  EXPECT_DOUBLE_EQ(env_double("MONTAGE_TEST_ENV_X", 1.5), 1.5);
   ::unsetenv("MONTAGE_TEST_ENV_X");
 }
 
@@ -176,11 +179,18 @@ TEST(Env, CheckedAcceptsPlainDecimal) {
 TEST(Env, CheckedRejectsGarbageInsteadOfReadingZero) {
   // A fault-injection knob silently parsed as 0 would disarm the injection;
   // the strict parser must throw instead.
-  for (const char* bad : {"12abc", "abc", "-5", "+5", " 12", "12 ", "0x10",
-                          "1.5", "99999999999999999999999"}) {
+  for (const char* bad : {"12abc", "abc", "four", "-5", "+5", " 12", "12 ",
+                          "0x10", "1.5", "99999999999999999999999"}) {
     ::setenv("MONTAGE_TEST_ENV_X", bad, 1);
     EXPECT_THROW(env_u64_checked("MONTAGE_TEST_ENV_X", 0),
                  std::invalid_argument)
+        << "accepted garbage value '" << bad << "'";
+  }
+  // The same holds for decimals: a unit suffix is not read as its prefix.
+  for (const char* bad : {"0.2s", "abc", " 0.2", "0.2 ", "inf", "nan",
+                          "0x1p3", "1e999", "."}) {
+    ::setenv("MONTAGE_TEST_ENV_X", bad, 1);
+    EXPECT_THROW(env_double("MONTAGE_TEST_ENV_X", 0.0), std::invalid_argument)
         << "accepted garbage value '" << bad << "'";
   }
   ::unsetenv("MONTAGE_TEST_ENV_X");
